@@ -1,7 +1,9 @@
 #include "encoding/encoders.h"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "hdc/bitsliced_counter.h"
 #include "obs/obs.h"
 
 namespace generic::enc {
@@ -17,19 +19,51 @@ hdc::ItemStorage storage_of(const EncoderConfig& cfg) {
 /// stored rows are referenced in place, rematerialized rows land in
 /// `scratch`. The reference is invalidated by the next call with the same
 /// scratch — callers copy or consume it before the next lookup.
-const hdc::BinaryHV& item_row(const hdc::ItemMemory& mem, std::size_t key,
-                              hdc::BinaryHV& scratch) {
+const hdc::BinaryHV& row(const hdc::ItemMemory& mem, std::size_t key,
+                         hdc::BinaryHV& scratch) {
   if (mem.storage() == hdc::ItemStorage::kStored) return mem.get(key);
   scratch = mem.materialize(key);
   return scratch;
 }
 
 /// Same contract for level memories.
-const hdc::BinaryHV& level_row(const hdc::LevelMemory& mem, std::size_t bin,
-                               hdc::BinaryHV& scratch) {
+const hdc::BinaryHV& row(const hdc::LevelMemory& mem, std::size_t bin,
+                         hdc::BinaryHV& scratch) {
   if (mem.storage() == hdc::ItemStorage::kStored) return mem.level(bin);
   scratch = mem.materialize(bin);
   return scratch;
+}
+
+/// The window-bundling core every sliding-window encoder shares (Eq. 1):
+///   H = sum_i [ XOR_{j<n} rho^j(row(bins[i+j])) ] XOR rho^i(id_seed)
+/// `rows` is the item or level memory the bins index. Rows are read live on
+/// every window, and no rotated copy is cached: fault injection and
+/// EncoderGuard scrubs rewrite rows in place, and the encoding must see it.
+/// A null `id_seed` drops the id binding. A non-null `row_ok` skips every
+/// window that reads a flagged row; the id rotation still tracks the window
+/// index i, so surviving windows bind the id the unmasked encode would.
+/// All scratch is local: encode() is const and runs concurrently under
+/// encode_batch.
+template <class Memory>
+hdc::IntHV bundle_windows(std::span<const std::uint16_t> bins,
+                          std::size_t dims, std::size_t n, const Memory& rows,
+                          const hdc::BinaryHV* id_seed,
+                          const std::vector<bool>* row_ok) {
+  const std::size_t windows = bins.size() < n ? 0 : bins.size() - n + 1;
+  hdc::BitSlicedCounter counter(dims, windows);
+  hdc::BinaryHV window_hv(dims);
+  hdc::BinaryHV scratch;
+  for (std::size_t i = 0; i < windows; ++i) {
+    if (row_ok && !std::all_of(bins.begin() + i, bins.begin() + i + n,
+                               [&](std::uint16_t b) { return (*row_ok)[b]; }))
+      continue;
+    window_hv = row(rows, bins[i], scratch);
+    for (std::size_t j = 1; j < n; ++j)
+      hdc::xor_rotated_into(window_hv, row(rows, bins[i + j], scratch), j);
+    if (id_seed) hdc::xor_rotated_into(window_hv, *id_seed, i);
+    counter.add(window_hv);
+  }
+  return counter.expand();
 }
 
 }  // namespace
@@ -94,7 +128,7 @@ hdc::IntHV RpEncoder::encode(std::span<const float> sample) const {
   hdc::IntHV acc(cfg_.dims, 0);
   hdc::BinaryHV scratch;
   for (std::size_t i = 0; i < bins.size(); ++i) {
-    const hdc::BinaryHV& id = item_row(ids_, i, scratch);
+    const hdc::BinaryHV& id = row(ids_, i, scratch);
     const auto value = static_cast<std::int32_t>(bins[i]);
     if (value == 0) continue;
     // acc += value * bipolar(id): split into set/unset bits via two passes
@@ -126,14 +160,14 @@ std::size_t LevelIdEncoder::memory_footprint_bytes() const {
 
 hdc::IntHV LevelIdEncoder::encode(std::span<const float> sample) const {
   const auto bins = quantize(sample);
-  hdc::IntHV acc(cfg_.dims, 0);
+  hdc::BitSlicedCounter counter(cfg_.dims, bins.size());
   hdc::BinaryHV bound(cfg_.dims);
   for (std::size_t i = 0; i < bins.size(); ++i) {
-    bound = level_row(levels_, bins[i], bound);
+    bound = row(levels_, bins[i], bound);
     ids_.xor_row_into(i, bound);
-    bound.accumulate_into(acc);
+    counter.add(bound);
   }
-  return acc;
+  return counter.expand();
 }
 
 // ---------------------------------------------------------------- permutation
@@ -148,11 +182,15 @@ std::size_t PermutationEncoder::memory_footprint_bytes() const {
 
 hdc::IntHV PermutationEncoder::encode(std::span<const float> sample) const {
   const auto bins = quantize(sample);
-  hdc::IntHV acc(cfg_.dims, 0);
+  hdc::BitSlicedCounter counter(cfg_.dims, bins.size());
+  hdc::BinaryHV permuted(cfg_.dims);
   hdc::BinaryHV scratch;
-  for (std::size_t i = 0; i < bins.size(); ++i)
-    level_row(levels_, bins[i], scratch).rotated(i).accumulate_into(acc);
-  return acc;
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    std::ranges::fill(permuted.words(), 0ULL);
+    hdc::xor_rotated_into(permuted, row(levels_, bins[i], scratch), i);
+    counter.add(permuted);
+  }
+  return counter.expand();
 }
 
 // ---------------------------------------------------------------- ngram
@@ -168,19 +206,8 @@ std::size_t NgramEncoder::memory_footprint_bytes() const {
 }
 
 hdc::IntHV NgramEncoder::encode(std::span<const float> sample) const {
-  const auto bins = quantize(sample);
-  const std::size_t n = cfg_.window;
-  hdc::IntHV acc(cfg_.dims, 0);
-  if (bins.size() < n) return acc;
-  hdc::BinaryHV window_hv(cfg_.dims);
-  hdc::BinaryHV scratch;
-  for (std::size_t i = 0; i + n <= bins.size(); ++i) {
-    window_hv = level_row(levels_, bins[i], scratch);
-    for (std::size_t j = 1; j < n; ++j)
-      window_hv ^= level_row(levels_, bins[i + j], scratch).rotated(j);
-    window_hv.accumulate_into(acc);
-  }
-  return acc;
+  return bundle_windows(quantize(sample), cfg_.dims, cfg_.window, levels_,
+                        nullptr, nullptr);
 }
 
 // ---------------------------------------------------------------- generic
@@ -198,24 +225,8 @@ std::size_t GenericEncoder::memory_footprint_bytes() const {
 }
 
 hdc::IntHV GenericEncoder::encode(std::span<const float> sample) const {
-  const auto bins = quantize(sample);
-  const std::size_t n = cfg_.window;
-  hdc::IntHV acc(cfg_.dims, 0);
-  if (bins.size() < n) return acc;
-  hdc::BinaryHV window_hv(cfg_.dims);
-  hdc::BinaryHV scratch;
-  // id_i is the seed id rotated by i, matching the hardware tmp-register
-  // scheme; rotate incrementally instead of re-deriving per window.
-  hdc::BinaryHV id = ids_.seed_id();
-  for (std::size_t i = 0; i + n <= bins.size(); ++i) {
-    window_hv = level_row(levels_, bins[i], scratch);
-    for (std::size_t j = 1; j < n; ++j)
-      window_hv ^= level_row(levels_, bins[i + j], scratch).rotated(j);
-    if (cfg_.use_ids) window_hv ^= id;
-    window_hv.accumulate_into(acc);
-    if (cfg_.use_ids) id = id.rotated(1);
-  }
-  return acc;
+  return bundle_windows(quantize(sample), cfg_.dims, cfg_.window, levels_,
+                        cfg_.use_ids ? &ids_.seed_id() : nullptr, nullptr);
 }
 
 hdc::IntHV GenericEncoder::encode_masked(std::span<const float> sample,
@@ -224,28 +235,9 @@ hdc::IntHV GenericEncoder::encode_masked(std::span<const float> sample,
   if (level_ok.size() != levels_.num_levels())
     throw std::invalid_argument(
         "encode_masked: level_ok must have one flag per level row");
-  const auto bins = quantize(sample);
-  const std::size_t n = cfg_.window;
-  hdc::IntHV acc(cfg_.dims, 0);
-  if (bins.size() < n) return acc;
-  hdc::BinaryHV window_hv(cfg_.dims);
-  hdc::BinaryHV scratch;
-  const bool bind_ids = cfg_.use_ids && id_ok;
-  hdc::BinaryHV id = bind_ids ? ids_.seed_id() : hdc::BinaryHV();
-  for (std::size_t i = 0; i + n <= bins.size(); ++i) {
-    bool ok = true;
-    for (std::size_t j = 0; j < n && ok; ++j) ok = level_ok[bins[i + j]];
-    if (ok) {
-      window_hv = level_row(levels_, bins[i], scratch);
-      for (std::size_t j = 1; j < n; ++j)
-        window_hv ^= level_row(levels_, bins[i + j], scratch).rotated(j);
-      if (bind_ids) window_hv ^= id;
-      window_hv.accumulate_into(acc);
-    }
-    // Skipped or not, id_i must track the window index i.
-    if (bind_ids) id = id.rotated(1);
-  }
-  return acc;
+  return bundle_windows(quantize(sample), cfg_.dims, cfg_.window, levels_,
+                        cfg_.use_ids && id_ok ? &ids_.seed_id() : nullptr,
+                        &level_ok);
 }
 
 hdc::BinaryHV GenericEncoder::materialize_id_seed() const {
@@ -264,19 +256,8 @@ std::size_t SymbolNgramEncoder::memory_footprint_bytes() const {
 }
 
 hdc::IntHV SymbolNgramEncoder::encode(std::span<const float> sample) const {
-  const auto bins = quantize(sample);
-  const std::size_t n = cfg_.window;
-  hdc::IntHV acc(cfg_.dims, 0);
-  if (bins.size() < n) return acc;
-  hdc::BinaryHV window_hv(cfg_.dims);
-  hdc::BinaryHV scratch;
-  for (std::size_t i = 0; i + n <= bins.size(); ++i) {
-    window_hv = item_row(items_, bins[i], scratch);
-    for (std::size_t j = 1; j < n; ++j)
-      window_hv ^= item_row(items_, bins[i + j], scratch).rotated(j);
-    window_hv.accumulate_into(acc);
-  }
-  return acc;
+  return bundle_windows(quantize(sample), cfg_.dims, cfg_.window, items_,
+                        nullptr, nullptr);
 }
 
 }  // namespace generic::enc

@@ -46,30 +46,46 @@ std::int64_t BinaryHV::dot(const BinaryHV& other) const {
 
 BinaryHV BinaryHV::rotated(std::size_t k) const {
   BinaryHV out(dims_);
-  if (dims_ == 0) return out;
-  k %= dims_;
-  if (k == 0) return *this;
-  // For word-aligned dims (the common case: D is a multiple of 64) rotate
-  // whole words then shift; the generic path handles ragged tails bit-wise.
-  if (dims_ % kWordBits == 0) {
-    const std::size_t nw = words_.size();
-    const std::size_t word_shift = k / kWordBits;
-    const std::size_t bit_shift = k % kWordBits;
-    for (std::size_t i = 0; i < nw; ++i) {
-      const std::uint64_t w = words_[i];
-      const std::size_t lo_pos = (i + word_shift) % nw;
-      if (bit_shift == 0) {
-        out.words_[lo_pos] |= w;
-      } else {
-        out.words_[lo_pos] |= w << bit_shift;
-        out.words_[(lo_pos + 1) % nw] |= w >> (kWordBits - bit_shift);
-      }
-    }
-    return out;
-  }
-  for (std::size_t i = 0; i < dims_; ++i)
-    if (bit(i)) out.set((i + k) % dims_, true);
+  xor_rotated_into(out, *this, k);
   return out;
+}
+
+void xor_rotated_into(BinaryHV& dst, const BinaryHV& src, std::size_t k) {
+  const std::size_t dims = src.dims();
+  if (dst.dims() != dims)
+    throw std::invalid_argument("xor_rotated_into: dimension mismatch");
+  if (&dst == &src)
+    throw std::invalid_argument("xor_rotated_into: dst aliases src");
+  if (dims == 0) return;
+  k %= dims;
+  std::uint64_t* d = dst.words().data();
+  const std::uint64_t* s = src.words().data();
+  if (dims % kWordBits != 0) {
+    // Ragged tail: bit i lands on i + k, wrapping once at dims.
+    const std::size_t wrap = dims - k;
+    for (std::size_t i = 0; i < wrap; ++i)
+      if (get_bit(s, i)) flip_bit(d, i + k);
+    for (std::size_t i = wrap; i < dims; ++i)
+      if (get_bit(s, i)) flip_bit(d, i - wrap);
+    return;
+  }
+  // Word j of rho^k(src) is src word j - ws (mod nw) shifted up by bs bits,
+  // or'ed with the top bits of the word below it. The source index wraps
+  // only for j <= ws, so split there instead of taking j % nw per word.
+  const std::size_t nw = src.num_words();
+  const std::size_t ws = k / kWordBits;
+  const std::size_t bs = k % kWordBits;
+  if (bs == 0) {
+    for (std::size_t j = 0; j < ws; ++j) d[j] ^= s[j + nw - ws];
+    for (std::size_t j = ws; j < nw; ++j) d[j] ^= s[j - ws];
+    return;
+  }
+  const std::size_t rs = kWordBits - bs;
+  for (std::size_t j = 0; j < ws; ++j)
+    d[j] ^= (s[j + nw - ws] << bs) | (s[j + nw - ws - 1] >> rs);
+  d[ws] ^= (s[0] << bs) | (s[nw - 1] >> rs);
+  for (std::size_t j = ws + 1; j < nw; ++j)
+    d[j] ^= (s[j - ws] << bs) | (s[j - ws - 1] >> rs);
 }
 
 void BinaryHV::accumulate_into(IntHV& acc, int sign) const {

@@ -64,7 +64,8 @@ class BinaryHV {
 
   /// Circular rotation towards higher indices by k positions — the HDC
   /// permutation rho^k of the paper (Eq. 1). rho preserves orthogonality
-  /// and rho^a . rho^b == rho^(a+b).
+  /// and rho^a . rho^b == rho^(a+b). Allocates; the encoders' hot loops
+  /// use xor_rotated_into instead.
   BinaryHV rotated(std::size_t k) const;
 
   /// Add this hypervector's bipolar values into an integer accumulator
@@ -81,6 +82,13 @@ class BinaryHV {
   std::size_t dims_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// dst ^= rho^k(src): bind a rotated row into `dst` without materializing
+/// the rotation. On word-aligned dims the word loop is split at the wrap
+/// point, so it runs without a division or a branch per word and
+/// vectorizes; ragged dims take a bitwise path. `dst` and `src` must have
+/// the same dims and must be distinct objects (both checked).
+void xor_rotated_into(BinaryHV& dst, const BinaryHV& src, std::size_t k);
 
 /// Dot product of two bundled hypervectors.
 std::int64_t dot(const IntHV& a, const IntHV& b);

@@ -41,7 +41,7 @@ BinaryHV bind_sequence(std::span<const BinaryHV> symbols) {
   const std::size_t n = symbols.size();
   BinaryHV out = symbols[n - 1];
   for (std::size_t i = n - 1; i-- > 0;)
-    out ^= symbols[i].rotated(n - 1 - i);
+    xor_rotated_into(out, symbols[i], n - 1 - i);
   return out;
 }
 

@@ -90,24 +90,43 @@ TEST(BinaryHV, RotatedPreservesPopcount) {
     EXPECT_EQ(a.rotated(k).popcount(), a.popcount()) << "k=" << k;
 }
 
-TEST(BinaryHV, RotatedMatchesBitwiseDefinition) {
-  Rng rng(13);
-  for (std::size_t dims : {64u, 128u, 100u, 4096u}) {
-    const BinaryHV a = BinaryHV::random(dims, rng);
-    for (std::size_t k : {0u, 1u, 63u, 64u, 65u}) {
-      const BinaryHV r = a.rotated(k);
-      for (std::size_t i = 0; i < dims; ++i)
-        ASSERT_EQ(r.bit((i + k) % dims), a.bit(i))
-            << "dims=" << dims << " k=" << k << " i=" << i;
-    }
-  }
-}
-
 TEST(BinaryHV, RotationComposes) {
   Rng rng(17);
   const BinaryHV a = BinaryHV::random(256, rng);
   EXPECT_EQ(a.rotated(5).rotated(9), a.rotated(14));
   EXPECT_EQ(a.rotated(256), a);
+}
+
+/// rho^k by its definition, one bit at a time: bit i moves to (i + k) mod D.
+BinaryHV bitwise_rotated(const BinaryHV& a, std::size_t k) {
+  BinaryHV out(a.dims());
+  for (std::size_t i = 0; i < a.dims(); ++i)
+    if (a.bit(i)) out.set((i + k) % a.dims(), true);
+  return out;
+}
+
+TEST(BinaryHV, RotatedMatchesBitwiseDefinition) {
+  Rng rng(13);
+  for (std::size_t dims : {64u, 128u, 100u, 129u, 4096u}) {
+    const BinaryHV src = BinaryHV::random(dims, rng);
+    const BinaryHV base = BinaryHV::random(dims, rng);
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                          std::size_t{64}, std::size_t{65}, dims - 1, dims,
+                          2 * dims + 3}) {
+      const BinaryHV expect = bitwise_rotated(src, k);
+      // operator== compares whole words, so a stray bit past dims fails too.
+      EXPECT_EQ(src.rotated(k), expect) << "dims=" << dims << " k=" << k;
+      BinaryHV dst = base;
+      xor_rotated_into(dst, src, k);
+      EXPECT_EQ(dst, base ^ expect) << "dims=" << dims << " k=" << k;
+    }
+  }
+}
+
+TEST(BinaryHV, XorRotatedIntoRejectsMismatchAndAliasing) {
+  BinaryHV a(64), b(128);
+  EXPECT_THROW(xor_rotated_into(a, b, 1), std::invalid_argument);
+  EXPECT_THROW(xor_rotated_into(a, a, 1), std::invalid_argument);
 }
 
 TEST(BinaryHV, AccumulateMatchesToInt) {
