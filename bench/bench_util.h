@@ -161,6 +161,34 @@ inline void apply_kernel_backend(Flags& flags) {
   }
 }
 
+/// Calibrated-reps timer: run `body` once to size the rep count to about
+/// `target_s` of wall time (at least 3 reps), then time the reps. Returns
+/// seconds per body() call.
+template <typename F>
+double seconds_per_call(F&& body, double target_s) {
+  obs::Stopwatch warm;
+  body();
+  const double once = warm.seconds();
+  std::size_t reps = once > 0 ? static_cast<std::size_t>(target_s / once) : 1;
+  if (reps < 3) reps = 3;
+  obs::Stopwatch timer;
+  for (std::size_t r = 0; r < reps; ++r) body();
+  return timer.seconds() / static_cast<double>(reps);
+}
+
+/// Keep `value` observable so the optimizer cannot drop or hoist the work
+/// that produced it out of a timed loop.
+template <typename T>
+inline void keep(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+/// Record a non-negative measurement as a rounded generic.metrics.v1 gauge.
+inline void set_gauge(const std::string& name, double v) {
+  obs::Registry::instance().gauge(name).set(
+      v < 0 ? 0 : static_cast<std::uint64_t>(v + 0.5));
+}
+
 inline void print_rule(std::size_t width) {
   for (std::size_t i = 0; i < width; ++i) std::fputc('-', stdout);
   std::fputc('\n', stdout);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       auto acc = [&](model::NormMode mode) {
         std::size_t hits = 0;
         for (std::size_t i = 0; i < test.size(); ++i)
-          hits += clf.predict_reduced(test[i], dims, mode) == ds.test_y[i];
+          hits += clf.predict_reduced(test[i], dims, mode).cls == ds.test_y[i];
         return 100.0 * static_cast<double>(hits) /
                static_cast<double>(test.size());
       };

@@ -14,6 +14,10 @@
 // rematerialized level memory and reports both footprints — the
 // Schmuck/Benini/Rahimi memory/recompute trade, quantified.
 //
+// The primitives section times the HDC operations the software stack
+// spends its time in (random HVs, bind, rotate, bundle, int dot, encode,
+// int and packed predict) on the session's backend.
+//
 // All numbers land in generic.metrics.v1 gauges when --metrics is given:
 //   kernels.<backend>.blocked_mwords_per_s
 //   kernels.<backend>.nearest_mwords_per_s
@@ -21,6 +25,7 @@
 //   remat.encode_stored_ns_per_sample / remat.encode_remat_ns_per_sample
 //   remat.recompute_overhead_milli
 //   remat.footprint.stored_payload_bytes / remat.footprint.remat_payload_bytes
+//   primitives.<op>_<dims>.ns_per_op
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -31,6 +36,8 @@
 #include "hdc/hypervector.h"
 #include "hdc/kernels.h"
 #include "hdc/ops.h"
+#include "model/binary_model.h"
+#include "model/hdc_classifier.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 
@@ -57,25 +64,82 @@ Workload make_workload(std::size_t dims, std::size_t classes,
   return w;
 }
 
-/// Time `body` (which processes `words_per_rep` packed words per call)
-/// until ~target_s elapsed; returns Mwords/s.
+/// Mwords/s of `body`, which processes `words_per_rep` packed words per
+/// call.
 template <typename F>
 double measure_mwords(F&& body, double words_per_rep, double target_s) {
-  // Calibrate: run once, scale the rep count to the time budget.
-  obs::Stopwatch warm;
-  body();
-  const double once = warm.seconds();
-  std::size_t reps = once > 0 ? static_cast<std::size_t>(target_s / once) : 1;
-  if (reps < 3) reps = 3;
-  obs::Stopwatch timer;
-  for (std::size_t r = 0; r < reps; ++r) body();
-  const double secs = timer.seconds();
-  return words_per_rep * static_cast<double>(reps) / secs / 1e6;
+  return words_per_rep / bench::seconds_per_call(body, target_s) / 1e6;
 }
 
-void set_gauge(const std::string& name, double v) {
-  obs::Registry::instance().gauge(name).set(
-      v < 0 ? 0 : static_cast<std::uint64_t>(v + 0.5));
+/// Time one primitive: print its ns per call and record the
+/// primitives.<name>.ns_per_op gauge.
+template <typename F>
+void primitive(const std::string& name, F&& body, double target_s) {
+  const double ns = bench::seconds_per_call(body, target_s) * 1e9;
+  std::printf("  %-28s %12.1f ns/op\n", name.c_str(), ns);
+  bench::set_gauge("primitives." + name + ".ns_per_op", ns);
+}
+
+/// The HDC primitives that dominate the software stack: random
+/// generation, binding, permutation, bundling, the int dot, encoding and
+/// both classifier predicts, on the session's kernel backend.
+void run_primitives(double target_s) {
+  std::printf("\nprimitives:\n");
+  Rng rng(0x9217);
+  for (std::size_t dims : {1024, 4096})
+    primitive(
+        "random_hv_" + std::to_string(dims),
+        [&] { bench::keep(hdc::BinaryHV::random(dims, rng)); }, target_s);
+
+  auto a = hdc::BinaryHV::random(4096, rng);
+  const auto b = hdc::BinaryHV::random(4096, rng);
+  primitive("xor_bind_4096", [&] { a ^= b; bench::keep(a); }, target_s);
+  primitive("rotate_4096", [&] { bench::keep(b.rotated(7)); }, target_s);
+
+  for (std::size_t dims : {1024, 4096}) {
+    const auto hv = hdc::BinaryHV::random(dims, rng);
+    hdc::IntHV acc(dims, 0);
+    primitive("accumulate_" + std::to_string(dims),
+              [&] { hv.accumulate_into(acc); bench::keep(acc.data()); },
+              target_s);
+  }
+
+  hdc::IntHV x(4096), y(4096);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<std::int32_t>(rng.range(-100, 100));
+    y[i] = static_cast<std::int32_t>(rng.range(-30000, 30000));
+  }
+  primitive("int_dot_4096", [&] { bench::keep(hdc::dot(x, y)); }, target_s);
+
+  std::vector<float> sample(128);
+  for (auto& v : sample) v = static_cast<float>(rng.uniform());
+  const std::vector<std::vector<float>> range{{0.0f, 1.0f}};
+  for (std::size_t dims : {1024, 4096}) {
+    enc::EncoderConfig cfg;
+    cfg.dims = dims;
+    enc::GenericEncoder encoder(cfg);
+    encoder.fit(range);
+    primitive("encode_generic_" + std::to_string(dims),
+              [&] { bench::keep(encoder.encode(sample)); }, target_s);
+  }
+
+  // 16 classes of four bundled random rows each.
+  std::vector<hdc::IntHV> train;
+  std::vector<int> labels;
+  for (int c = 0; c < 16; ++c)
+    for (int i = 0; i < 4; ++i) {
+      train.push_back(hdc::BinaryHV::random(4096, rng).to_int());
+      labels.push_back(c);
+    }
+  model::HdcClassifier clf(4096, 16);
+  clf.train_init(train, labels);
+  const auto q = hdc::BinaryHV::random(4096, rng);
+  const hdc::IntHV qi = q.to_int();
+  primitive("classifier_predict_4096",
+            [&] { bench::keep(clf.predict(qi)); }, target_s);
+  const model::BinaryModel fast(clf);
+  primitive("binary_model_predict_4096",
+            [&] { bench::keep(fast.predict_packed(q)); }, target_s);
 }
 
 }  // namespace
@@ -144,9 +208,10 @@ int main(int argc, char** argv) {
 
     std::printf("%-8s %22.0f %22.0f %9.2fx%s\n", name.c_str(), blocked,
                 nearest, speedup, sink == 0 ? " " : "");
-    set_gauge("kernels." + name + ".blocked_mwords_per_s", blocked);
-    set_gauge("kernels." + name + ".nearest_mwords_per_s", nearest);
-    set_gauge("kernels." + name + ".nearest_speedup_milli", speedup * 1000.0);
+    const std::string prefix = "kernels." + name;
+    bench::set_gauge(prefix + ".blocked_mwords_per_s", blocked);
+    bench::set_gauge(prefix + ".nearest_mwords_per_s", nearest);
+    bench::set_gauge(prefix + ".nearest_speedup_milli", speedup * 1000.0);
   }
 
   // ---- stored vs rematerialized memories ---------------------------------
@@ -187,14 +252,15 @@ int main(int argc, char** argv) {
   std::printf("  remat : %10.0f ns/sample  footprint %8zu B  (%.2fx encode "
               "cost)\n",
               remat_ns, remat.memory_footprint_bytes(), overhead);
-  set_gauge("remat.encode_stored_ns_per_sample", stored_ns);
-  set_gauge("remat.encode_remat_ns_per_sample", remat_ns);
-  set_gauge("remat.recompute_overhead_milli", overhead * 1000.0);
-  set_gauge("remat.footprint.stored_payload_bytes",
+  bench::set_gauge("remat.encode_stored_ns_per_sample", stored_ns);
+  bench::set_gauge("remat.encode_remat_ns_per_sample", remat_ns);
+  bench::set_gauge("remat.recompute_overhead_milli", overhead * 1000.0);
+  bench::set_gauge("remat.footprint.stored_payload_bytes",
             static_cast<double>(stored.memory_footprint_bytes()));
-  set_gauge("remat.footprint.remat_payload_bytes",
+  bench::set_gauge("remat.footprint.remat_payload_bytes",
             static_cast<double>(remat.memory_footprint_bytes()));
 
   k::set_backend(session_backend);
+  run_primitives(target_s);
   return 0;
 }

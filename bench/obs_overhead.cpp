@@ -28,24 +28,10 @@ namespace rtrace = obs::rtrace;
 
 namespace {
 
-/// Time `body` until ~target_s elapsed; returns ns per inner event given
-/// `events_per_rep` record() calls per body() invocation.
+/// ns per inner event, given `events_per_rep` record() calls per body().
 template <typename F>
 double measure_ns(F&& body, double events_per_rep, double target_s) {
-  obs::Stopwatch warm;
-  body();
-  const double once = warm.seconds();
-  std::size_t reps = once > 0 ? static_cast<std::size_t>(target_s / once) : 1;
-  if (reps < 3) reps = 3;
-  obs::Stopwatch timer;
-  for (std::size_t r = 0; r < reps; ++r) body();
-  const double secs = timer.seconds();
-  return secs * 1e9 / (static_cast<double>(reps) * events_per_rep);
-}
-
-void set_gauge(const char* name, double v) {
-  obs::Registry::instance().gauge(name).set(
-      v < 0 ? 0 : static_cast<std::uint64_t>(v + 0.5));
+  return bench::seconds_per_call(body, target_s) * 1e9 / events_per_rep;
 }
 
 }  // namespace
@@ -105,9 +91,9 @@ int main(int argc, char** argv) {
   std::printf("trace log kept %llu events in the timed phase\n",
               static_cast<unsigned long long>(recorded));
 
-  set_gauge("obs.rtrace.record_ns_per_event", record_ns);
-  set_gauge("obs.rtrace.disabled_ns_per_event", disabled_ns);
-  set_gauge("obs.rtrace.wrap_ns_per_event", wrap_ns);
-  set_gauge("obs.rtrace.events_per_rep", per_rep);
+  bench::set_gauge("obs.rtrace.record_ns_per_event", record_ns);
+  bench::set_gauge("obs.rtrace.disabled_ns_per_event", disabled_ns);
+  bench::set_gauge("obs.rtrace.wrap_ns_per_event", wrap_ns);
+  bench::set_gauge("obs.rtrace.events_per_rep", per_rep);
   return 0;
 }

@@ -51,7 +51,8 @@ int main() {
   //    using the first 1K dimensions with the stored sub-norms.
   std::printf("reduced model (1024 dims):      %.1f%%\n",
               accuracy([&](const hdc::IntHV& q) {
-                return clf.predict_reduced(q, 1024, model::NormMode::kUpdated);
+                return clf.predict_reduced(q, 1024, model::NormMode::kUpdated)
+                    .cls;
               }));
 
   // 5. Aggressive quantization: HDC barely notices 4-bit class elements.

@@ -1,6 +1,7 @@
 #include "arch/generic_asic.h"
 
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "common/mitchell.h"
@@ -182,18 +183,10 @@ int GenericAsic::best_class(const hdc::IntHV& encoded) const {
   const auto& model = require_model();
   const auto mode = constant_norms_ ? model::NormMode::kConstant
                                     : model::NormMode::kUpdated;
-  if (exact_divider_) {
-    int best = 0;
-    double best_score = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < model.num_classes(); ++c) {
-      const double s = model.score(encoded, c, active_dims_, mode);
-      if (s > best_score) {
-        best_score = s;
-        best = static_cast<int>(c);
-      }
-    }
-    return best;
-  }
+  if (encoded.size() != model.dims())
+    throw std::invalid_argument("best_class: query dimension mismatch");
+  if (exact_divider_)
+    return model.predict_reduced(encoded, active_dims_, mode).cls;
   // Hardware path: rank sign(dot) * dot^2 / norm entirely in the log
   // domain — 2 log2|dot| - log2(norm) with the corrected Mitchell
   // approximation (§4.2.1, [18]); negative dots rank below zero dots,
@@ -202,10 +195,9 @@ int GenericAsic::best_class(const hdc::IntHV& encoded) const {
   int best_sign = -2;
   std::int64_t best_log = std::numeric_limits<std::int64_t>::min();
   for (std::size_t c = 0; c < model.num_classes(); ++c) {
-    const auto& cls = model.class_vector(c);
-    std::int64_t dot = 0;
-    for (std::size_t j = 0; j < active_dims_; ++j)
-      dot += static_cast<std::int64_t>(encoded[j]) * cls[j];
+    const std::int64_t dot =
+        hdc::dot(std::span(encoded).first(active_dims_),
+                 std::span(model.class_vector(c)).first(active_dims_));
     std::int64_t norm = 0;
     const std::size_t chunks = constant_norms_ ? model.num_chunks()
                                                : active_dims_ / hw_.chunk;

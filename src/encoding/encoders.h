@@ -77,11 +77,11 @@ class GenericEncoder final : public Encoder {
   std::size_t memory_footprint_bytes() const override;
 
   /// Degraded encode around corrupted encoder rows, the encoder-side
-  /// mirror of predict_masked: any window that reads a level row with
-  /// `level_ok[bin] == false` is skipped entirely (its garbage never
-  /// enters the accumulator), and `id_ok == false` drops the id binding —
-  /// reducing to pure subsequence statistics, exactly the use_ids = false
-  /// encoding. The id rotation still advances once per window position so
+  /// mirror of masked HdcClassifier::predict_reduced: any window that
+  /// reads a level row with `level_ok[bin] == false` is skipped entirely
+  /// (its garbage never enters the accumulator), and `id_ok == false`
+  /// drops the id binding — reducing to pure subsequence statistics,
+  /// exactly the use_ids = false encoding. The id rotation still advances once per window position so
   /// surviving windows bind the same id_i the clean encode would.
   /// `level_ok` must have one flag per level row
   /// (resilience::EncoderGuard::scan supplies it).

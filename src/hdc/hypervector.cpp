@@ -110,14 +110,6 @@ IntHV BinaryHV::to_int() const {
   return out;
 }
 
-std::int64_t dot(const IntHV& a, const IntHV& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    acc += static_cast<std::int64_t>(a[i]) * b[i];
-  return acc;
-}
-
 std::int64_t dot(const IntHV& a, const BinaryHV& b) {
   if (a.size() != b.dims())
     throw std::invalid_argument("dot(int,binary): size mismatch");
@@ -129,12 +121,6 @@ std::int64_t dot(const IntHV& a, const BinaryHV& b) {
     if (b.bit(i)) sum_set += a[i];
   }
   return 2 * sum_set - sum_all;
-}
-
-std::int64_t norm2(const IntHV& a) {
-  std::int64_t acc = 0;
-  for (std::int32_t v : a) acc += static_cast<std::int64_t>(v) * v;
-  return acc;
 }
 
 double cosine(const IntHV& a, const IntHV& b) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/bitops.h"
@@ -90,15 +91,29 @@ class BinaryHV {
 /// the same dims and must be distinct objects (both checked).
 void xor_rotated_into(BinaryHV& dst, const BinaryHV& src, std::size_t k);
 
-/// Dot product of two bundled hypervectors.
-std::int64_t dot(const IntHV& a, const IntHV& b);
+/// Dot product of two equal-length int spans (checked): whole bundled
+/// hypervectors, or matching slices of them such as the chunk runs the
+/// classifier scores. Inline so each call site vectorizes like a
+/// hand-written loop.
+inline std::int64_t dot(std::span<const std::int32_t> a,
+                        std::span<const std::int32_t> b) {
+  if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
+  std::int64_t acc = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    acc += static_cast<std::int64_t>(a[i]) * b[i];
+  return acc;
+}
 
 /// Dot product of a bundled hypervector with a binary hypervector's
 /// bipolar expansion, without materializing the expansion.
 std::int64_t dot(const IntHV& a, const BinaryHV& b);
 
-/// Squared L2 norm.
-std::int64_t norm2(const IntHV& a);
+/// Squared L2 norm of an int span (a hypervector or a slice of one).
+inline std::int64_t norm2(std::span<const std::int32_t> a) {
+  std::int64_t acc = 0;
+  for (std::int32_t v : a) acc += static_cast<std::int64_t>(v) * v;
+  return acc;
+}
 
 /// Cosine similarity; 0 when either vector is all-zero.
 double cosine(const IntHV& a, const IntHV& b);

@@ -266,14 +266,14 @@ void Manager::run_retrain(RetrainJob* job,
   job->rung_dims = serve::dims_ladder(baseline->dims(), chunk, cfg_.min_dims);
   bool passed = true;
   for (const std::size_t dims : job->rung_dims) {
-    const std::vector<int> sp = shadow->predict_reduced_batch(
+    const auto sp = shadow->predict_reduced_margin_batch(
         hold_x, dims, model::NormMode::kUpdated, pool_);
-    const std::vector<int> bp = baseline->predict_reduced_batch(
+    const auto bp = baseline->predict_reduced_margin_batch(
         hold_x, dims, model::NormMode::kUpdated, pool_);
     std::size_t s_ok = 0, b_ok = 0;
     for (std::size_t i = 0; i < hold_y.size(); ++i) {
-      if (sp[i] == hold_y[i]) ++s_ok;
-      if (bp[i] == hold_y[i]) ++b_ok;
+      if (sp[i].cls == hold_y[i]) ++s_ok;
+      if (bp[i].cls == hold_y[i]) ++b_ok;
     }
     const double n = static_cast<double>(hold_y.size());
     const double s_acc = static_cast<double>(s_ok) / n;

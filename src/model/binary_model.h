@@ -9,9 +9,9 @@
 //
 // BinaryModel converts a trained HdcClassifier into packed sign vectors
 // and serves predictions ~an order of magnitude faster than the int32
-// path (see bench/micro_hdc). Norms are constant across classes (every
-// sign vector has ||C||^2 = D), so the cosine argmax reduces to a plain
-// max-dot — no divider at all.
+// path (see the primitives section of bench/kernels). Norms are constant
+// across classes (every sign vector has ||C||^2 = D), so the cosine argmax
+// reduces to a plain max-dot — no divider at all.
 #pragma once
 
 #include <cstddef>

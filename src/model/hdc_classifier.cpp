@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -37,26 +38,19 @@ std::size_t HdcClassifier::retrain_epoch(std::span<const hdc::IntHV> encoded,
   GENERIC_SPAN("train.epoch");
   if (encoded.size() != labels.size())
     throw std::invalid_argument("retrain_epoch: size mismatch");
+  const auto runs = select(dims_, {});
+  for (const auto& q : encoded) check_query(q);
   std::size_t updates = 0;
   for (std::size_t i = 0; i < encoded.size(); ++i) {
-    const int pred = predict(encoded[i]);
+    const int pred = scan(encoded[i], runs, NormMode::kUpdated).cls;
     const int truth = labels[i];
     if (pred == truth) continue;
     ++updates;
-    auto& wrong = classes_.at(static_cast<std::size_t>(pred));
-    auto& right = classes_.at(static_cast<std::size_t>(truth));
-    hdc::add_into(wrong, encoded[i], -1);
-    hdc::add_into(right, encoded[i], +1);
+    hdc::add_into(classes_.at(static_cast<std::size_t>(pred)), encoded[i], -1);
+    hdc::add_into(classes_.at(static_cast<std::size_t>(truth)), encoded[i], +1);
     // Only the two touched classes need their norms refreshed.
-    for (std::size_t k = 0; k < num_chunks_; ++k) {
-      std::int64_t nw = 0, nr = 0;
-      for (std::size_t j = k * chunk_; j < (k + 1) * chunk_; ++j) {
-        nw += static_cast<std::int64_t>(wrong[j]) * wrong[j];
-        nr += static_cast<std::int64_t>(right[j]) * right[j];
-      }
-      chunk_norms_[static_cast<std::size_t>(pred)][k] = nw;
-      chunk_norms_[static_cast<std::size_t>(truth)][k] = nr;
-    }
+    recompute_norms(static_cast<std::size_t>(pred));
+    recompute_norms(static_cast<std::size_t>(truth));
   }
   GENERIC_COUNTER_ADD("train.updates", updates);
   return updates;
@@ -65,7 +59,8 @@ std::size_t HdcClassifier::retrain_epoch(std::span<const hdc::IntHV> encoded,
 bool HdcClassifier::online_update(const hdc::IntHV& encoded, int label) {
   if (label < 0 || static_cast<std::size_t>(label) >= num_classes_)
     throw std::invalid_argument("online_update: label out of range");
-  const int pred = predict(encoded);
+  check_query(encoded);
+  const int pred = scan(encoded, select(dims_, {}), NormMode::kUpdated).cls;
   if (pred == label) return false;
   hdc::add_into(classes_[static_cast<std::size_t>(pred)], encoded, -1);
   hdc::add_into(classes_[static_cast<std::size_t>(label)], encoded, +1);
@@ -78,7 +73,8 @@ bool HdcClassifier::online_update_adaptive(const hdc::IntHV& encoded,
                                            int label) {
   if (label < 0 || static_cast<std::size_t>(label) >= num_classes_)
     throw std::invalid_argument("online_update_adaptive: label out of range");
-  const int pred = predict(encoded);
+  check_query(encoded);
+  const int pred = scan(encoded, select(dims_, {}), NormMode::kUpdated).cls;
   if (pred == label) return false;
   auto cos_to = [&](std::size_t c) {
     const auto& cls = classes_[c];
@@ -141,107 +137,13 @@ void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
   recompute_norms();
 }
 
-std::size_t HdcClassifier::retrain_epoch_parallel(
-    std::span<const hdc::IntHV> encoded, std::span<const int> labels,
-    ThreadPool& pool) {
-  GENERIC_SPAN("train.epoch");
-  if (encoded.size() != labels.size())
-    throw std::invalid_argument("retrain_epoch_parallel: size mismatch");
-  std::vector<double> scores(num_classes_, 0.0);
-  std::size_t updates = 0;
-  for (std::size_t i = 0; i < encoded.size(); ++i) {
-    // Fan the per-class scoring out; each class's score is computed by the
-    // exact expression predict() uses, so the fixed-order argmax below
-    // reproduces predict(encoded[i]) bit-for-bit.
-    pool.parallel_for(num_classes_,
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-                        for (std::size_t c = begin; c < end; ++c)
-                          scores[c] =
-                              score(encoded[i], c, dims_, NormMode::kUpdated);
-                      });
-    int pred = 0;
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      if (scores[c] > best) {
-        best = scores[c];
-        pred = static_cast<int>(c);
-      }
-    }
-    const int truth = labels[i];
-    if (pred == truth) continue;
-    ++updates;
-    hdc::add_into(classes_.at(static_cast<std::size_t>(pred)), encoded[i], -1);
-    hdc::add_into(classes_.at(static_cast<std::size_t>(truth)), encoded[i], +1);
-    recompute_norms(static_cast<std::size_t>(pred));
-    recompute_norms(static_cast<std::size_t>(truth));
-  }
-  GENERIC_COUNTER_ADD("train.updates", updates);
-  return updates;
-}
-
-void HdcClassifier::fit_parallel(std::span<const hdc::IntHV> encoded,
-                                 std::span<const int> labels,
-                                 std::size_t epochs, ThreadPool& pool) {
-  GENERIC_SPAN("train.fit");
-  train_batch(encoded, labels, pool);
-  for (std::size_t e = 0; e < epochs; ++e)
-    if (retrain_epoch_parallel(encoded, labels, pool) == 0) break;
-}
-
-std::vector<int> HdcClassifier::predict_batch(
-    std::span<const hdc::IntHV> queries, ThreadPool& pool) const {
-  GENERIC_SPAN("predict.batch");
-  std::vector<int> out(queries.size(), 0);
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i)
-                        out[i] = predict(queries[i]);
-                    });
-  return out;
-}
-
-std::vector<int> HdcClassifier::predict_reduced_batch(
-    std::span<const hdc::IntHV> queries, std::size_t dims_used, NormMode mode,
-    ThreadPool& pool) const {
-  GENERIC_SPAN("predict.batch");
-  std::vector<int> out(queries.size(), 0);
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i) {
-                        GENERIC_COUNTER_ADD("predict.queries", 1);
-                        out[i] = predict_reduced(queries[i], dims_used, mode);
-                      }
-                    });
-  return out;
-}
-
-std::vector<int> HdcClassifier::predict_masked_batch(
-    std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
-    ThreadPool& pool) const {
-  GENERIC_SPAN("predict.batch");
-  std::vector<int> out(queries.size(), 0);
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i) {
-                        GENERIC_COUNTER_ADD("predict.queries", 1);
-                        out[i] = predict_masked(queries[i], chunk_ok);
-                      }
-                    });
-  return out;
-}
-
 namespace {
 
-/// Fixed-order argmax with runner-up tracking. `scorer(c)` must be the
-/// exact score expression the plain predict path uses so cls matches it
-/// bit-for-bit. The margin is NORMALIZED: (best - second) / (|best| +
-/// |second|), which lands in [0, 1] regardless of dims, bit width or norm
-/// magnitudes — so downstream consumers (the lifecycle drift detector) can
-/// use scale-free thresholds. 0 with fewer than two classes or two zero
-/// scores.
+/// Fixed-order argmax with runner-up tracking; ties go to the lowest class
+/// index. The margin is NORMALIZED: (best - second) / (|best| + |second|),
+/// which lands in [0, 1] regardless of dims, bit width or norm magnitudes
+/// — so downstream consumers (the lifecycle drift detector) can use
+/// scale-free thresholds. 0 with fewer than two classes or two zero scores.
 template <typename Scorer>
 Prediction argmax_with_margin(std::size_t num_classes, Scorer&& scorer) {
   Prediction p;
@@ -266,99 +168,140 @@ Prediction argmax_with_margin(std::size_t num_classes, Scorer&& scorer) {
 
 }  // namespace
 
+std::size_t HdcClassifier::retrain_epoch_parallel(
+    std::span<const hdc::IntHV> encoded, std::span<const int> labels,
+    ThreadPool& pool) {
+  GENERIC_SPAN("train.epoch");
+  if (encoded.size() != labels.size())
+    throw std::invalid_argument("retrain_epoch_parallel: size mismatch");
+  const auto runs = select(dims_, {});
+  for (const auto& q : encoded) check_query(q);
+  std::vector<double> scores(num_classes_, 0.0);
+  std::size_t updates = 0;
+  for (std::size_t i = 0; i < encoded.size(); ++i) {
+    // Fan the per-class scoring out; the fixed-order argmax over the
+    // indexed scores then reproduces the serial scan bit-for-bit.
+    pool.parallel_for(num_classes_,
+                      [&](std::size_t begin, std::size_t end, std::size_t) {
+                        for (std::size_t c = begin; c < end; ++c)
+                          scores[c] = score_runs(encoded[i], c, runs,
+                                                 NormMode::kUpdated);
+                      });
+    const int pred =
+        argmax_with_margin(num_classes_, [&](std::size_t c) {
+          return scores[c];
+        }).cls;
+    const int truth = labels[i];
+    if (pred == truth) continue;
+    ++updates;
+    hdc::add_into(classes_.at(static_cast<std::size_t>(pred)), encoded[i], -1);
+    hdc::add_into(classes_.at(static_cast<std::size_t>(truth)), encoded[i], +1);
+    recompute_norms(static_cast<std::size_t>(pred));
+    recompute_norms(static_cast<std::size_t>(truth));
+  }
+  GENERIC_COUNTER_ADD("train.updates", updates);
+  return updates;
+}
+
+void HdcClassifier::fit_parallel(std::span<const hdc::IntHV> encoded,
+                                 std::span<const int> labels,
+                                 std::size_t epochs, ThreadPool& pool) {
+  GENERIC_SPAN("train.fit");
+  train_batch(encoded, labels, pool);
+  for (std::size_t e = 0; e < epochs; ++e)
+    if (retrain_epoch_parallel(encoded, labels, pool) == 0) break;
+}
+
+std::vector<int> HdcClassifier::predict_batch(
+    std::span<const hdc::IntHV> queries, ThreadPool& pool) const {
+  const auto preds =
+      predict_reduced_margin_batch(queries, dims_, NormMode::kUpdated, pool);
+  std::vector<int> out(preds.size());
+  for (std::size_t i = 0; i < preds.size(); ++i) out[i] = preds[i].cls;
+  return out;
+}
+
 std::vector<Prediction> HdcClassifier::predict_reduced_margin_batch(
     std::span<const hdc::IntHV> queries, std::size_t dims_used, NormMode mode,
-    ThreadPool& pool) const {
+    ThreadPool& pool, const std::vector<bool>& chunk_ok) const {
   GENERIC_SPAN("predict.batch");
+  const auto runs = select(dims_used, chunk_ok);
+  for (const auto& q : queries) check_query(q);
+  GENERIC_COUNTER_ADD("predict.queries", queries.size());
   std::vector<Prediction> out(queries.size());
   pool.parallel_for(queries.size(),
                     [&](std::size_t begin, std::size_t end, std::size_t) {
                       GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i) {
-                        GENERIC_COUNTER_ADD("predict.queries", 1);
-                        out[i] = argmax_with_margin(
-                            num_classes_, [&](std::size_t c) {
-                              return score(queries[i], c, dims_used, mode);
-                            });
-                      }
+                      for (std::size_t i = begin; i < end; ++i)
+                        out[i] = scan(queries[i], runs, mode);
                     });
   return out;
 }
 
-std::vector<Prediction> HdcClassifier::predict_masked_margin_batch(
-    std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
-    ThreadPool& pool) const {
-  GENERIC_SPAN("predict.batch");
-  if (std::find(chunk_ok.begin(), chunk_ok.end(), true) == chunk_ok.end())
-    throw std::invalid_argument("predict_masked_margin_batch: all masked");
-  std::vector<Prediction> out(queries.size());
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i) {
-                        GENERIC_COUNTER_ADD("predict.queries", 1);
-                        out[i] = argmax_with_margin(
-                            num_classes_, [&](std::size_t c) {
-                              return score_masked(queries[i], c, chunk_ok);
-                            });
-                      }
-                    });
-  return out;
+int HdcClassifier::predict(const hdc::IntHV& query) const {
+  return predict_reduced(query, dims_, NormMode::kUpdated).cls;
 }
 
-void HdcClassifier::recompute_norms() {
-  for (std::size_t c = 0; c < num_classes_; ++c) recompute_norms(c);
-}
-
-void HdcClassifier::recompute_norms(std::size_t cls) {
-  const auto& c = classes_.at(cls);
-  for (std::size_t k = 0; k < num_chunks_; ++k) {
-    std::int64_t acc = 0;
-    for (std::size_t j = k * chunk_; j < (k + 1) * chunk_; ++j)
-      acc += static_cast<std::int64_t>(c[j]) * c[j];
-    chunk_norms_[cls][k] = acc;
-  }
-}
-
-std::int64_t HdcClassifier::reduced_norm(std::size_t c, std::size_t dims_used,
-                                         NormMode mode) const {
-  const std::size_t chunks =
-      mode == NormMode::kConstant ? num_chunks_ : dims_used / chunk_;
-  std::int64_t acc = 0;
-  for (std::size_t k = 0; k < chunks; ++k) acc += chunk_norms_[c][k];
-  return acc;
+Prediction HdcClassifier::predict_reduced(
+    const hdc::IntHV& query, std::size_t dims_used, NormMode mode,
+    const std::vector<bool>& chunk_ok) const {
+  const auto runs = select(dims_used, chunk_ok);
+  check_query(query);
+  GENERIC_COUNTER_ADD("predict.queries", 1);
+  return scan(query, runs, mode);
 }
 
 double HdcClassifier::score(const hdc::IntHV& query, std::size_t cls,
-                            std::size_t dims_used, NormMode mode) const {
-  if (query.size() != dims_)
-    throw std::invalid_argument("score: query dimension mismatch");
-  if (dims_used == 0 || dims_used > dims_ || dims_used % chunk_ != 0)
-    throw std::invalid_argument("score: dims_used must be a chunk multiple");
-  const auto& c = classes_.at(cls);
-  std::int64_t dot = 0;
-  for (std::size_t j = 0; j < dims_used; ++j)
-    dot += static_cast<std::int64_t>(query[j]) * c[j];
-  const std::int64_t n2 = reduced_norm(cls, dims_used, mode);
-  if (n2 == 0) return 0.0;
-  const double num = static_cast<double>(dot) * static_cast<double>(std::abs(dot));
-  return num / static_cast<double>(n2);
+                            std::size_t dims_used, NormMode mode,
+                            const std::vector<bool>& chunk_ok) const {
+  const auto runs = select(dims_used, chunk_ok);
+  check_query(query);
+  if (cls >= num_classes_) throw std::out_of_range("score: class index");
+  return score_runs(query, cls, runs, mode);
 }
 
-double HdcClassifier::score_masked(const hdc::IntHV& query, std::size_t cls,
-                                   const std::vector<bool>& chunk_ok) const {
+std::vector<HdcClassifier::ChunkRun> HdcClassifier::select(
+    std::size_t dims_used, const std::vector<bool>& chunk_ok) const {
+  if (dims_used == 0 || dims_used > dims_ || dims_used % chunk_ != 0)
+    throw std::invalid_argument(
+        "HdcClassifier: dims_used must be a chunk multiple in (0, dims]");
+  if (!chunk_ok.empty() && chunk_ok.size() != num_chunks_)
+    throw std::invalid_argument("HdcClassifier: chunk mask size mismatch");
+  std::vector<ChunkRun> runs;
+  for (std::size_t k = 0; k < dims_used / chunk_; ++k) {
+    if (!chunk_ok.empty() && !chunk_ok[k]) continue;
+    if (!runs.empty() && runs.back().end == k)
+      runs.back().end = k + 1;
+    else
+      runs.push_back({k, k + 1});
+  }
+  if (runs.empty())
+    throw std::invalid_argument("HdcClassifier: empty chunk selection");
+  return runs;
+}
+
+void HdcClassifier::check_query(const hdc::IntHV& query) const {
   if (query.size() != dims_)
-    throw std::invalid_argument("score_masked: query dimension mismatch");
-  if (chunk_ok.size() != num_chunks_)
-    throw std::invalid_argument("score_masked: mask size mismatch");
-  const auto& c = classes_.at(cls);
+    throw std::invalid_argument("HdcClassifier: query dimension mismatch");
+}
+
+double HdcClassifier::score_runs(const hdc::IntHV& query, std::size_t cls,
+                                 std::span<const ChunkRun> runs,
+                                 NormMode mode) const {
+  const std::span<const std::int32_t> q(query);
+  const std::span<const std::int32_t> c(classes_[cls]);
+  const std::span<const std::int64_t> norms(chunk_norms_[cls]);
+  auto sum = [](std::span<const std::int64_t> v) {
+    return std::accumulate(v.begin(), v.end(), std::int64_t{0});
+  };
   std::int64_t dot = 0;
-  std::int64_t n2 = 0;
-  for (std::size_t k = 0; k < num_chunks_; ++k) {
-    if (!chunk_ok[k]) continue;
-    for (std::size_t j = k * chunk_; j < (k + 1) * chunk_; ++j)
-      dot += static_cast<std::int64_t>(query[j]) * c[j];
-    n2 += chunk_norms_[cls][k];
+  std::int64_t n2 = mode == NormMode::kConstant ? sum(norms) : 0;
+  for (const ChunkRun& r : runs) {
+    const std::size_t lo = r.begin * chunk_;
+    const std::size_t len = (r.end - r.begin) * chunk_;
+    dot += hdc::dot(q.subspan(lo, len), c.subspan(lo, len));
+    if (mode == NormMode::kUpdated)
+      n2 += sum(norms.subspan(r.begin, r.end - r.begin));
   }
   if (n2 == 0) return 0.0;
   const double num =
@@ -366,40 +309,22 @@ double HdcClassifier::score_masked(const hdc::IntHV& query, std::size_t cls,
   return num / static_cast<double>(n2);
 }
 
-int HdcClassifier::predict_masked(const hdc::IntHV& query,
-                                  const std::vector<bool>& chunk_ok) const {
-  if (std::find(chunk_ok.begin(), chunk_ok.end(), true) == chunk_ok.end())
-    throw std::invalid_argument("predict_masked: all chunks masked");
-  int best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    const double s = score_masked(query, c, chunk_ok);
-    if (s > best_score) {
-      best_score = s;
-      best = static_cast<int>(c);
-    }
-  }
-  return best;
+Prediction HdcClassifier::scan(const hdc::IntHV& query,
+                               std::span<const ChunkRun> runs,
+                               NormMode mode) const {
+  return argmax_with_margin(num_classes_, [&](std::size_t c) {
+    return score_runs(query, c, runs, mode);
+  });
 }
 
-int HdcClassifier::predict(const hdc::IntHV& query) const {
-  GENERIC_COUNTER_ADD("predict.queries", 1);
-  return predict_reduced(query, dims_, NormMode::kUpdated);
+void HdcClassifier::recompute_norms() {
+  for (std::size_t c = 0; c < num_classes_; ++c) recompute_norms(c);
 }
 
-int HdcClassifier::predict_reduced(const hdc::IntHV& query,
-                                   std::size_t dims_used,
-                                   NormMode mode) const {
-  int best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    const double s = score(query, c, dims_used, mode);
-    if (s > best_score) {
-      best_score = s;
-      best = static_cast<int>(c);
-    }
-  }
-  return best;
+void HdcClassifier::recompute_norms(std::size_t cls) {
+  const std::span<const std::int32_t> c(classes_.at(cls));
+  for (std::size_t k = 0; k < num_chunks_; ++k)
+    chunk_norms_[cls][k] = hdc::norm2(c.subspan(k * chunk_, chunk_));
 }
 
 void HdcClassifier::quantize(int bit_width) {

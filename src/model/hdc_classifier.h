@@ -102,32 +102,14 @@ class HdcClassifier {
   std::vector<int> predict_batch(std::span<const hdc::IntHV> queries,
                                  ThreadPool& pool) const;
 
-  /// Batched reduced-dimension inference:
-  /// out[i] == predict_reduced(queries[i], dims_used, mode). The serving
-  /// engine's degradation rungs flush through this so degraded batches keep
-  /// the predict_batch determinism contract.
-  std::vector<int> predict_reduced_batch(std::span<const hdc::IntHV> queries,
-                                         std::size_t dims_used, NormMode mode,
-                                         ThreadPool& pool) const;
-
-  /// Batched masked inference: out[i] == predict_masked(queries[i], chunk_ok).
-  std::vector<int> predict_masked_batch(std::span<const hdc::IntHV> queries,
-                                        const std::vector<bool>& chunk_ok,
-                                        ThreadPool& pool) const;
-
-  /// Batched reduced-dimension inference with confidence margins:
-  /// out[i].cls == predict_reduced(queries[i], dims_used, mode) and
-  /// out[i].margin is the normalized top1-vs-top2 margin of that same scan.
-  /// Queries fan out across the pool into indexed slots, so the result is
-  /// bit-identical for any lane count (same contract as predict_batch).
+  /// Batched predict_reduced(): out[i] == predict_reduced(queries[i],
+  /// dims_used, mode, chunk_ok), bit-identical for any lane count (queries
+  /// fan out into indexed slots). The serving engine's degradation rungs
+  /// and masked serving flush through this.
   std::vector<Prediction> predict_reduced_margin_batch(
       std::span<const hdc::IntHV> queries, std::size_t dims_used,
-      NormMode mode, ThreadPool& pool) const;
-
-  /// Masked counterpart: out[i].cls == predict_masked(queries[i], chunk_ok).
-  std::vector<Prediction> predict_masked_margin_batch(
-      std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
-      ThreadPool& pool) const;
+      NormMode mode, ThreadPool& pool,
+      const std::vector<bool>& chunk_ok = {}) const;
 
   /// Online adaptation: score one labelled encoding and, on a
   /// misprediction, apply the same subtract/add update as retraining.
@@ -143,32 +125,30 @@ class HdcClassifier {
   /// rounded back into the integer class domain.
   bool online_update_adaptive(const hdc::IntHV& encoded, int label);
 
-  /// Predicted class using all dimensions.
+  /// Predicted class using all dimensions. Every predict entry (this,
+  /// predict_reduced and both batches) counts its queries once in the
+  /// `predict.queries` obs counter; score() and training scans count none.
   int predict(const hdc::IntHV& query) const;
 
-  /// Predicted class using only the first `dims_used` dimensions (must be a
-  /// multiple of the chunk size, or == dims()).
-  int predict_reduced(const hdc::IntHV& query, std::size_t dims_used,
-                      NormMode mode) const;
+  /// Prediction over a chunk selection: the first `dims_used` dimensions
+  /// (a chunk multiple, at most dims()), further restricted to the chunks
+  /// whose `chunk_ok` entry is true when a mask (size num_chunks()) is
+  /// given. Reduced dims are §4.3.3 on-demand dimension reduction; the
+  /// mask is the degradation path for models with faulty 128-dim blocks
+  /// (see resilience::BlockGuard), which skips them in both the dot
+  /// product and the norm. `mode` picks the norm: kUpdated sums the
+  /// selected chunks' sub-norms, kConstant uses the full-model norm. Throws
+  /// std::invalid_argument on a wrong-size query or mask, an illegal
+  /// `dims_used`, or an empty selection.
+  Prediction predict_reduced(const hdc::IntHV& query, std::size_t dims_used,
+                             NormMode mode,
+                             const std::vector<bool>& chunk_ok = {}) const;
 
-  /// Signed squared-cosine-numerator score of one class:
-  /// sign(H.C) * (H.C)^2 / ||C||^2 over the first dims_used dimensions.
+  /// Signed squared-cosine-numerator score of one class over the same
+  /// selection as predict_reduced(): sign(H.C) * (H.C)^2 / ||C||^2.
   double score(const hdc::IntHV& query, std::size_t cls,
-               std::size_t dims_used, NormMode mode) const;
-
-  /// Predicted class using only the chunks whose `chunk_ok` entry is true
-  /// (size num_chunks()). The generalization of predict_reduced() to an
-  /// arbitrary block subset: the degradation path for models with faulty
-  /// 128-dim blocks (see resilience::BlockGuard) skips the damaged blocks
-  /// in both the dot product and the norm, exactly like §4.3.3 on-demand
-  /// dimension reduction with Updated norms. At least one chunk must be
-  /// enabled.
-  int predict_masked(const hdc::IntHV& query,
-                     const std::vector<bool>& chunk_ok) const;
-
-  /// Masked-score of one class over the enabled chunks only.
-  double score_masked(const hdc::IntHV& query, std::size_t cls,
-                      const std::vector<bool>& chunk_ok) const;
+               std::size_t dims_used, NormMode mode,
+               const std::vector<bool>& chunk_ok = {}) const;
 
   /// Quantize class elements to `bit_width` bits (two's complement),
   /// rescaling by the model's max magnitude; recomputes norms.
@@ -205,8 +185,24 @@ class HdcClassifier {
   void recompute_norms(std::size_t cls);
 
  private:
-  std::int64_t reduced_norm(std::size_t c, std::size_t dims_used,
-                            NormMode mode) const;
+  /// Chunks [begin, end) of a selection that are contiguous in memory.
+  struct ChunkRun {
+    std::size_t begin;
+    std::size_t end;
+  };
+
+  /// Validate a (dims_used, chunk_ok) selection and compile it into
+  /// maximal runs of contiguous chunks; a prefix selection is one run.
+  std::vector<ChunkRun> select(std::size_t dims_used,
+                               const std::vector<bool>& chunk_ok) const;
+  void check_query(const hdc::IntHV& query) const;
+  /// Score of class `cls` over `runs`: one integer dot and one sub-norm
+  /// sum per run. Inputs are validated by the caller.
+  double score_runs(const hdc::IntHV& query, std::size_t cls,
+                    std::span<const ChunkRun> runs, NormMode mode) const;
+  /// The one prediction scan: score_runs per class, fixed-order argmax.
+  Prediction scan(const hdc::IntHV& query, std::span<const ChunkRun> runs,
+                  NormMode mode) const;
 
   std::size_t dims_;
   std::size_t num_classes_;

@@ -12,14 +12,6 @@ std::uint32_t chunk_crc(const hdc::IntHV& vec, std::size_t chunk_index,
   return model::crc32(bytes, chunk * sizeof(std::int32_t));
 }
 
-std::int64_t chunk_norm2(const hdc::IntHV& vec, std::size_t chunk_index,
-                         std::size_t chunk) {
-  std::int64_t acc = 0;
-  for (std::size_t j = chunk_index * chunk; j < (chunk_index + 1) * chunk; ++j)
-    acc += static_cast<std::int64_t>(vec[j]) * vec[j];
-  return acc;
-}
-
 }  // namespace
 
 BlockGuard BlockGuard::commission(const model::HdcClassifier& clf) {
@@ -45,7 +37,8 @@ std::vector<bool> BlockGuard::scan(const model::HdcClassifier& clf) const {
     for (std::size_t c = 0; c < num_classes_ && ok[k]; ++c) {
       const auto& vec = clf.class_vector(c);
       if (chunk_crc(vec, k, chunk_) != crcs_[c * num_chunks_ + k] ||
-          chunk_norm2(vec, k, chunk_) != clf.chunk_norm(c, k))
+          hdc::norm2(std::span(vec).subspan(k * chunk_, chunk_)) !=
+              clf.chunk_norm(c, k))
         ok[k] = false;
     }
   }

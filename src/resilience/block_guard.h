@@ -15,10 +15,10 @@
 // the corner cases norms miss (e.g. sign flips that preserve the square).
 //
 // A detected-faulty block is then either
-//   * masked — predict_masked() skips its dimensions in the similarity
-//     search, the same trick as §4.3.3 on-demand dimension reduction, so
-//     accuracy degrades by the information the block carried instead of
-//     being poisoned by garbage values; or
+//   * masked — predict_reduced() with a chunk mask skips its dimensions
+//     in the similarity search, the same trick as §4.3.3 on-demand
+//     dimension reduction, so accuracy degrades by the information the
+//     block carried instead of being poisoned by garbage values; or
 //   * scrubbed — repaired in place from a CRC-verified golden model blob
 //     (model_io), the software mirror of an ECC refill from backing store.
 #pragma once

@@ -16,8 +16,9 @@
 //             baseline every campaign measures against);
 //   kMask   — GenericEncoder::encode_masked() skips every window that
 //             touches a corrupted row, the encoder-side mirror of
-//             predict_masked(): accuracy degrades by the information the
-//             rows carried instead of being poisoned by garbage bits;
+//             masked predict_reduced(): accuracy degrades by the
+//             information the rows carried instead of being poisoned by
+//             garbage bits;
 //   kScrub  — scrub() rewrites each faulty row from its seed via
 //             materialize() and verifies the commissioned CRC afterwards.
 //

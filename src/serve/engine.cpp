@@ -73,9 +73,10 @@ ServeEngine::ServeEngine(const model::HdcClassifier& model,
 
   if (!chunk_ok.empty() && chunk_ok.size() != model_->num_chunks())
     throw std::invalid_argument("ServeEngine: chunk_ok size mismatch");
-  any_faulty_ =
-      std::find(chunk_ok.begin(), chunk_ok.end(), false) != chunk_ok.end();
-  rung_mask_.resize(ladder_.size());
+  // An all-ok mask is the same selection as no mask; keep it empty so
+  // fault-free serving reports full-rung service as kOk.
+  if (std::find(chunk_ok.begin(), chunk_ok.end(), false) != chunk_ok.end())
+    chunk_ok_ = std::move(chunk_ok);
   rung_active_.resize(ladder_.size());
   report_.rungs.resize(ladder_.size());
   batch_.resize(ladder_.size());
@@ -83,21 +84,14 @@ ServeEngine::ServeEngine(const model::HdcClassifier& model,
   report_.versions.push_back(VersionStats{0, 0, 0});
   for (std::size_t r = 0; r < ladder_.size(); ++r) {
     const std::size_t prefix = ladder_[r] / chunk;
-    if (any_faulty_) {
-      std::vector<bool> mask(model_->num_chunks(), false);
-      std::size_t active = 0;
-      for (std::size_t k = 0; k < prefix; ++k) {
-        mask[k] = chunk_ok[k];
-        if (mask[k]) ++active;
-      }
-      if (active == 0)
-        throw std::invalid_argument(
-            "ServeEngine: ladder rung has no healthy chunk");
-      rung_mask_[r] = std::move(mask);
-      rung_active_[r] = active;
-    } else {
-      rung_active_[r] = prefix;
-    }
+    rung_active_[r] =
+        chunk_ok_.empty()
+            ? prefix
+            : static_cast<std::size_t>(std::count(
+                  chunk_ok_.begin(), chunk_ok_.begin() + prefix, true));
+    if (rung_active_[r] == 0)
+      throw std::invalid_argument(
+          "ServeEngine: ladder rung has no healthy chunk");
     report_.rungs[r].dims = ladder_[r];
     report_.rungs[r].active_chunks = rung_active_[r];
   }
@@ -518,7 +512,7 @@ void ServeEngine::defer_served(InFlight* f, std::uint64_t now) {
   f->finish_us = now;
   f->epoch = model_epoch_;
   const bool reduced =
-      ladder_[f->rung] < model_->dims() || !rung_mask_[f->rung].empty();
+      ladder_[f->rung] < model_->dims() || !chunk_ok_.empty();
   f->outcome = reduced ? Outcome::kDegraded
                : f->attempts > 1 ? Outcome::kRetried
                                  : Outcome::kOk;
@@ -550,10 +544,8 @@ void ServeEngine::flush_rung(std::size_t rung) {
     qs.push_back(queries_[f->req.query]);
   }
   const std::vector<model::Prediction> preds =
-      rung_mask_[rung].empty()
-          ? model_->predict_reduced_margin_batch(
-                qs, ladder_[rung], model::NormMode::kUpdated, pool_)
-          : model_->predict_masked_margin_batch(qs, rung_mask_[rung], pool_);
+      model_->predict_reduced_margin_batch(
+          qs, ladder_[rung], model::NormMode::kUpdated, pool_, chunk_ok_);
   VersionStats& vstats = report_.versions.back();
   for (std::size_t i = 0; i < b.size(); ++i) {
     InFlight* f = b[i];

@@ -7,10 +7,10 @@
 // them all on the VIRTUAL clock carried by the requests plus the
 // deterministic service-cost model, never the wall clock. Heavy compute
 // (the actual predictions) is deferred into fixed-size per-rung batches
-// flushed through HdcClassifier::predict_reduced_batch /
-// predict_masked_batch, whose results are bit-identical at any pool lane
-// count. Consequence: the generic.serve.v1 report is byte-identical for a
-// fixed (trace, config, seed) regardless of --threads.
+// flushed through HdcClassifier::predict_reduced_margin_batch, whose
+// results are bit-identical at any pool lane count. Consequence: the
+// generic.serve.v1 report is byte-identical for a fixed (trace, config,
+// seed) regardless of --threads.
 //
 // Virtual-time model:
 //  * cfg.servers service lanes; a request in service occupies one lane for
@@ -122,7 +122,7 @@ class ServeEngine {
   /// used only for the accuracy tallies in the report. `chunk_ok` (size
   /// model.num_chunks(), empty == all ok) marks faulty dimension blocks:
   /// serving then scores only ok chunks inside the active rung prefix
-  /// (predict_masked), the graceful-degradation path of
+  /// (predict_reduced with chunk_ok), the graceful-degradation path of
   /// resilience::BlockGuard. Throws if any ladder rung would have no ok
   /// chunk to score.
   ///
@@ -236,12 +236,11 @@ class ServeEngine {
   EncoderMemory* encoder_ = nullptr;
 
   std::vector<std::size_t> ladder_;
-  /// Per rung: combined chunk mask (ok AND inside the rung prefix) plus the
-  /// count of active chunks; masks_[r] is empty when the whole prefix is ok
-  /// (the cheaper predict_reduced path applies).
-  std::vector<std::vector<bool>> rung_mask_;
+  /// The model's healthy-chunk mask, empty when every chunk is ok. Each
+  /// rung scores the ok chunks inside its dims prefix; rung_active_[r]
+  /// counts them.
+  std::vector<bool> chunk_ok_;
   std::vector<std::size_t> rung_active_;
-  bool any_faulty_ = false;
 
   BoundedQueue<Item> ingress_;
   std::thread control_;

@@ -138,7 +138,7 @@ TEST(MicroArch, ReducedPredictionsTrackSoftwareReducedModel) {
     const auto hw = sim.infer(rig.ds.test_x[i]);
     const int sw = rig.model->predict_reduced(
         rig.encoder->encode(rig.ds.test_x[i]), 1024,
-        model::NormMode::kUpdated);
+        model::NormMode::kUpdated).cls;
     agree += hw.label == sw;
   }
   EXPECT_GE(agree, 57u);

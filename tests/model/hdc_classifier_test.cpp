@@ -135,7 +135,7 @@ TEST(HdcClassifier, ReducedDimsUpdatedBeatsConstant) {
   auto acc = [&](std::size_t dims_used, NormMode mode) {
     std::size_t hits = 0;
     for (std::size_t i = 0; i < test.size(); ++i)
-      hits += clf.predict_reduced(test[i], dims_used, mode) == ds.test_y[i];
+      hits += clf.predict_reduced(test[i], dims_used, mode).cls == ds.test_y[i];
     return static_cast<double>(hits) / static_cast<double>(test.size());
   };
   const double updated = acc(512, NormMode::kUpdated);

@@ -28,6 +28,12 @@ namespace {
 
 const std::size_t kLaneCounts[] = {1, 2, 7, 16};
 
+std::vector<int> classes_of(const std::vector<Prediction>& preds) {
+  std::vector<int> out;
+  for (const Prediction& p : preds) out.push_back(p.cls);
+  return out;
+}
+
 /// Template dataset: 4 classes with positional means (§3.2 "templates").
 data::Dataset make_template_dataset() {
   data::TemplateSpec spec;
@@ -208,11 +214,12 @@ TEST_P(ParallelDeterminismTest, PredictReducedBatchMatchesSerial) {
   for (const std::size_t dims_used : {512ul, 256ul, 128ul}) {
     std::vector<int> serial;
     for (const auto& q : test)
-      serial.push_back(clf.predict_reduced(q, dims_used, NormMode::kUpdated));
+      serial.push_back(
+          clf.predict_reduced(q, dims_used, NormMode::kUpdated).cls);
     for (std::size_t lanes : kLaneCounts) {
       ThreadPool pool(lanes);
-      EXPECT_EQ(clf.predict_reduced_batch(test, dims_used, NormMode::kUpdated,
-                                          pool),
+      EXPECT_EQ(classes_of(clf.predict_reduced_margin_batch(
+                    test, dims_used, NormMode::kUpdated, pool)),
                 serial)
           << "dims=" << dims_used << " lanes=" << lanes;
     }
@@ -230,10 +237,14 @@ TEST_P(ParallelDeterminismTest, PredictMaskedBatchMatchesSerial) {
 
   const std::vector<bool> chunk_ok = {true, false, true, false};
   std::vector<int> serial;
-  for (const auto& q : test) serial.push_back(clf.predict_masked(q, chunk_ok));
+  for (const auto& q : test)
+    serial.push_back(
+        clf.predict_reduced(q, 512, NormMode::kUpdated, chunk_ok).cls);
   for (std::size_t lanes : kLaneCounts) {
     ThreadPool pool(lanes);
-    EXPECT_EQ(clf.predict_masked_batch(test, chunk_ok, pool), serial)
+    EXPECT_EQ(classes_of(clf.predict_reduced_margin_batch(
+                  test, 512, NormMode::kUpdated, pool, chunk_ok)),
+              serial)
         << "lanes=" << lanes;
   }
 }

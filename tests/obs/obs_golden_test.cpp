@@ -190,5 +190,40 @@ TEST_F(ObsDeterminism, InstrumentedParallelRunMatchesSerialUninstrumented) {
       << "instrumentation or pooling perturbed the campaign output";
 }
 
+/// predict.queries counts inference only. Serial fit and fit_parallel
+/// retrain through the same scan without counting it, so after either fit
+/// a predict_batch over the test split reports exactly its size.
+std::uint64_t predict_queries_after_fit(bool parallel) {
+  const auto ds = data::make_benchmark("PAGE");
+  enc::EncoderConfig cfg;
+  cfg.dims = 512;
+  enc::GenericEncoder encoder(cfg);
+  encoder.fit(ds.train_x);
+  const auto train = model::encode_all(encoder, ds.train_x);
+  const auto test = model::encode_all(encoder, ds.test_x);
+  ThreadPool pool(2);
+  obs::Registry& reg = obs::Registry::instance();
+  reg.reset();
+  model::HdcClassifier clf(512, ds.num_classes);
+  if (parallel)
+    clf.fit_parallel(train, ds.train_y, 5, pool);
+  else
+    clf.fit(train, ds.train_y, 5);
+  EXPECT_EQ(clf.predict_batch(test, pool).size(), test.size());
+  return reg.counter("predict.queries").value();
+}
+
+TEST_F(ObsDeterminism, SerialAndParallelFitCountTheSamePredictQueries) {
+#if !GENERIC_OBS_ENABLED
+  GTEST_SKIP() << "built with GENERIC_OBS=OFF — counters are no-ops";
+#else
+  obs::set_metrics(true);
+  const std::uint64_t serial = predict_queries_after_fit(false);
+  const std::uint64_t parallel = predict_queries_after_fit(true);
+  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial, data::make_benchmark("PAGE").test_x.size());
+#endif
+}
+
 }  // namespace
 }  // namespace generic

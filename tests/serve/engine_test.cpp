@@ -1,7 +1,8 @@
 // ServeEngine behaviour: deadline expiry (at completion and fail-fast at
 // dequeue), shed ordering at the high-water mark, retry exhaustion,
 // degradation ladder transitions in both directions, and exact agreement
-// of served predictions with the predict_reduced / predict_masked goldens.
+// of served predictions with the predict_reduced goldens (prefix and
+// chunk-masked).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -239,7 +240,8 @@ TEST(ServeEngineTest, OverloadWalksLadderDownAndRecovers) {
     EXPECT_LT(r->dims_used, 512u);
     EXPECT_EQ(r->predicted,
               w.clf.predict_reduced(w.queries[requests[i].query],
-                                    r->dims_used, model::NormMode::kUpdated));
+                                    r->dims_used, model::NormMode::kUpdated)
+                  .cls);
     ++checked;
   }
   EXPECT_GT(checked, 0u);
@@ -263,7 +265,10 @@ TEST(ServeEngineTest, MaskedServingMatchesPredictMasked) {
   EXPECT_EQ(rep.rungs[0].active_chunks, 3u);
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto r = futures[i].try_get();
-    EXPECT_EQ(r->predicted, w.clf.predict_masked(w.queries[i], chunk_ok));
+    EXPECT_EQ(r->predicted,
+              w.clf.predict_reduced(w.queries[i], w.clf.dims(),
+                                    model::NormMode::kUpdated, chunk_ok)
+                  .cls);
   }
 }
 
