@@ -158,7 +158,7 @@ TEST(RtraceDeterminism, StreamsByteIdenticalAcrossKernelBackends) {
   k::set_backend(saved);
 }
 
-// Byte-for-byte pin of the rtrace and flight documents for a fixed
+// Byte-for-byte pin of the rtrace, flight and Chrome documents for a fixed
 // (workload, trace, config) — the schema freeze the CI rtrace job and any
 // external consumer rely on.
 TEST(RtraceGolden, StreamsMatchCommittedFixtures) {
@@ -173,6 +173,7 @@ TEST(RtraceGolden, StreamsMatchCommittedFixtures) {
   } fixtures[] = {
       {"serve_rtrace.json", got.rtrace},
       {"serve_flight.json", got.flight},
+      {"serve_rtrace_chrome.json", got.chrome},
   };
   for (const auto& fx : fixtures) {
     const std::string path = std::string(GENERIC_GOLDEN_DIR) + "/" + fx.file;
