@@ -18,7 +18,6 @@
 //        --serve-rate=RPS, --serve-requests=N, --threads=N
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,17 +27,12 @@
 #include "common/thread_pool.h"
 #include "data/benchmarks.h"
 #include "model/pipeline.h"
+#include "obs/export.h"
 #include "serve/engine.h"
 
 using namespace generic;
 
 namespace {
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 struct SweepRow {
   std::size_t dims = 0;
@@ -166,10 +160,11 @@ int main(int argc, char** argv) {
       const SweepRow& r = rows[i];
       json += (i == 0 ? "\n" : ",\n");
       json += "      {\"dims\": " + std::to_string(r.dims) +
-              ", \"accuracy_pct\": " + fmt(r.accuracy_pct) +
-              ", \"energy_j\": " + fmt(r.energy_j) +
-              ", \"asic_latency_s\": " + fmt(r.latency_s) +
-              ", \"energy_gain\": " + fmt(full_e / r.energy_j) + "}";
+              ", \"accuracy_pct\": " + obs::json_number(r.accuracy_pct) +
+              ", \"energy_j\": " + obs::json_number(r.energy_j) +
+              ", \"asic_latency_s\": " + obs::json_number(r.latency_s) +
+              ", \"energy_gain\": " +
+              obs::json_number(full_e / r.energy_j) + "}";
     }
     json += "\n    ], \"serve_rungs\": [";
     for (std::size_t i = 0; i < report.rungs.size(); ++i) {
@@ -178,7 +173,8 @@ int main(int argc, char** argv) {
       json += "      {\"dims\": " + std::to_string(r.dims) +
               ", \"served\": " + std::to_string(r.served) +
               ", \"accuracy\": " +
-              fmt(r.served == 0 ? 0.0
+              obs::json_number(
+                  r.served == 0 ? 0.0
                                 : static_cast<double>(r.correct) /
                                       static_cast<double>(r.served)) +
               ", \"latency_us\": {\"count\": " +
@@ -204,12 +200,12 @@ int main(int argc, char** argv) {
 
   if (!out_path.empty()) {
     json += "\n  ]\n}\n";
-    std::ofstream out(out_path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
+    try {
+      obs::write_file(out_path, json);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
     }
-    out << json;
     std::printf("\ntrade-off JSON written to %s\n", out_path.c_str());
   }
   return 0;

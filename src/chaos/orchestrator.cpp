@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -23,14 +22,6 @@ namespace generic::chaos {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string u64(std::uint64_t v) { return std::to_string(v); }
 
 bool in_flash(const ScenarioSpec& spec, std::uint64_t vt) {
   return spec.flash_single_class && vt >= spec.load.flash_start_us &&
@@ -98,8 +89,8 @@ ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
   if (spec.corrupt_boot) {
     const fs::path dir =
         opt.work_dir.empty()
-            ? fs::temp_directory_path() /
-                  ("generic-chaos-" + spec.name + "-" + u64(opt.seed))
+            ? fs::temp_directory_path() / ("generic-chaos-" + spec.name +
+                                           "-" + std::to_string(opt.seed))
             : fs::path(opt.work_dir);
     fs::remove_all(dir);
     store = std::make_unique<lifecycle::CheckpointStore>(dir.string(), 4);
@@ -442,28 +433,29 @@ std::string chaos_report_to_json(const ChaosReport& report) {
   std::string out = "{\n";
   out += "  \"schema\": \"generic.chaos.v1\",\n";
   out += "  \"scenario\": " + obs::json_escape(report.scenario) + ",\n";
-  out += "  \"seed\": " + u64(report.seed) + ",\n";
-  out += "  \"requests\": " + u64(report.requests) + ",\n";
-  out += "  \"dims\": " + u64(report.dims) + ",\n";
+  out += "  \"seed\": " + std::to_string(report.seed) + ",\n";
+  out += "  \"requests\": " + std::to_string(report.requests) + ",\n";
+  out += "  \"dims\": " + std::to_string(report.dims) + ",\n";
   out += "  \"boot\": {\"from_checkpoint\": ";
   out += report.boot.from_checkpoint ? "true" : "false";
-  out += ", \"version\": " + u64(report.boot.version) +
-         ", \"quarantined\": " + u64(report.boot.quarantined) +
+  out += ", \"version\": " + std::to_string(report.boot.version) +
+         ", \"quarantined\": " + std::to_string(report.boot.quarantined) +
          ", \"store_versions_seeded\": " +
-         u64(report.boot.store_versions_seeded) + "},\n";
+         std::to_string(report.boot.store_versions_seeded) + "},\n";
   out += "  \"bursts\": [";
   for (std::size_t i = 0; i < report.bursts.size(); ++i) {
     const BurstRecord& b = report.bursts[i];
     out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"scheduled_vt_us\": " + u64(b.scheduled_vt_us) +
-           ", \"fired_vt_us\": " + u64(b.fired_vt_us) +
-           ", \"version\": " + u64(b.version) + ", \"kind\": \"" +
+    out += "    {\"scheduled_vt_us\": " + std::to_string(b.scheduled_vt_us) +
+           ", \"fired_vt_us\": " + std::to_string(b.fired_vt_us) +
+           ", \"version\": " + std::to_string(b.version) + ", \"kind\": \"" +
            std::string(resilience::fault_kind_name(b.fault.kind)) +
-           "\", \"rate\": " + fmt(b.fault.rate) +
-           ", \"burst_rate\": " + fmt(b.fault.burst_rate) + ", \"banks\": [";
+           "\", \"rate\": " + obs::json_number(b.fault.rate) +
+           ", \"burst_rate\": " + obs::json_number(b.fault.burst_rate) +
+           ", \"banks\": [";
     for (std::size_t k = 0; k < b.banks.size(); ++k) {
       if (k != 0) out += ", ";
-      out += u64(b.banks[k]);
+      out += std::to_string(b.banks[k]);
     }
     out += "]}";
   }
@@ -471,65 +463,66 @@ std::string chaos_report_to_json(const ChaosReport& report) {
 
   const serve::ServeReport& s = report.serve;
   out += "  \"serve\": {\n";
-  out += "    \"requests\": " + u64(s.requests) +
-         ",\n    \"makespan_us\": " + u64(s.makespan_us) +
-         ",\n    \"throughput_rps\": " + fmt(s.throughput_rps) +
+  out += "    \"requests\": " + std::to_string(s.requests) +
+         ",\n    \"makespan_us\": " + std::to_string(s.makespan_us) +
+         ",\n    \"throughput_rps\": " + obs::json_number(s.throughput_rps) +
          ",\n    \"outcomes\": {";
   for (std::size_t i = 0; i < serve::kNumOutcomes; ++i) {
     if (i != 0) out += ", ";
     out += "\"" +
            std::string(serve::outcome_name(
                static_cast<serve::Outcome>(i))) +
-           "\": " + u64(s.outcomes[i]);
+           "\": " + std::to_string(s.outcomes[i]);
   }
   out += "},\n";
   const double accuracy =
       s.served == 0 ? 0.0
                     : static_cast<double>(s.correct) /
                           static_cast<double>(s.served);
-  out += "    \"served\": " + u64(s.served) +
-         ",\n    \"correct\": " + u64(s.correct) +
-         ",\n    \"accuracy\": " + fmt(accuracy) +
-         ",\n    \"steps_down\": " + u64(s.steps_down) +
-         ",\n    \"steps_up\": " + u64(s.steps_up) +
-         ",\n    \"final_rung\": " + u64(s.final_rung) + ",\n";
+  out += "    \"served\": " + std::to_string(s.served) +
+         ",\n    \"correct\": " + std::to_string(s.correct) +
+         ",\n    \"accuracy\": " + obs::json_number(accuracy) +
+         ",\n    \"steps_down\": " + std::to_string(s.steps_down) +
+         ",\n    \"steps_up\": " + std::to_string(s.steps_up) +
+         ",\n    \"final_rung\": " + std::to_string(s.final_rung) + ",\n";
   out += "    \"slo_alerts\": [";
   for (std::size_t i = 0; i < s.slo_alerts.size(); ++i) {
     const serve::BurnAlert& a = s.slo_alerts[i];
     if (i != 0) out += ", ";
-    out += "{\"vt_us\": " + u64(a.vt);
+    out += "{\"vt_us\": " + std::to_string(a.vt);
     out += ", \"kind\": \"";
     out += a.fired ? "fire" : "clear";
-    out += "\", \"fast_burn\": " + fmt(a.fast_burn);
-    out += ", \"slow_burn\": " + fmt(a.slow_burn) + "}";
+    out += "\", \"fast_burn\": " + obs::json_number(a.fast_burn);
+    out += ", \"slow_burn\": " + obs::json_number(a.slow_burn) + "}";
   }
   out += "],\n";
   out += "    \"swaps\": [";
   for (std::size_t i = 0; i < s.swaps.size(); ++i) {
     if (i != 0) out += ", ";
-    out += "{\"vt_us\": " + u64(s.swaps[i].vt) +
-           ", \"version\": " + u64(s.swaps[i].version) + ", \"rollback\": " +
-           (s.swaps[i].rollback ? "true" : "false") + "}";
+    out += "{\"vt_us\": " + std::to_string(s.swaps[i].vt) +
+           ", \"version\": " + std::to_string(s.swaps[i].version) +
+           ", \"rollback\": " + (s.swaps[i].rollback ? "true" : "false") +
+           "}";
   }
   out += "],\n";
   out += "    \"versions\": [";
   for (std::size_t i = 0; i < s.versions.size(); ++i) {
     if (i != 0) out += ", ";
-    out += "{\"version\": " + u64(s.versions[i].version) +
-           ", \"served\": " + u64(s.versions[i].served) +
-           ", \"correct\": " + u64(s.versions[i].correct) + "}";
+    out += "{\"version\": " + std::to_string(s.versions[i].version) +
+           ", \"served\": " + std::to_string(s.versions[i].served) +
+           ", \"correct\": " + std::to_string(s.versions[i].correct) + "}";
   }
   out += "],\n";
   out += "    \"encoder_faults\": [";
   for (std::size_t i = 0; i < s.encoder_faults.size(); ++i) {
     const serve::EncoderFaultEvent& e = s.encoder_faults[i];
     if (i != 0) out += ", ";
-    out += "{\"vt_us\": " + u64(e.vt) + ", \"phase\": \"" +
+    out += "{\"vt_us\": " + std::to_string(e.vt) + ", \"phase\": \"" +
            std::string(serve::encoder_phase_name(e.phase)) +
-           "\", \"faulty_rows\": " + u64(e.faulty_rows) +
+           "\", \"faulty_rows\": " + std::to_string(e.faulty_rows) +
            ", \"id_seed_faulty\": ";
     out += e.id_seed_faulty ? "true" : "false";
-    out += ", \"scrubbed_rows\": " + u64(e.scrubbed_rows) +
+    out += ", \"scrubbed_rows\": " + std::to_string(e.scrubbed_rows) +
            ", \"scrub_verified\": ";
     out += e.scrub_verified ? "true" : "false";
     out += ", \"stepped_ladder\": ";
@@ -537,38 +530,43 @@ std::string chaos_report_to_json(const ChaosReport& report) {
     out += "}";
   }
   out += "],\n";
-  out += "    \"scrubbed_rows\": " + u64(s.scrubbed_rows) + "\n  },\n";
+  out += "    \"scrubbed_rows\": " + std::to_string(s.scrubbed_rows) +
+         "\n  },\n";
 
   const lifecycle::LifecycleReport& l = report.lifecycle;
-  out += "  \"lifecycle\": {\"alarms\": " + u64(l.alarms) +
-         ", \"triggered\": " + u64(l.triggered) +
-         ", \"swapped\": " + u64(l.swapped) +
-         ", \"rolled_back\": " + u64(l.rolled_back) +
-         ", \"replay_size\": " + u64(l.replay_size) +
-         ", \"final_accuracy_ewma\": " + fmt(l.final_accuracy_ewma) +
-         ", \"checkpoints\": {\"saved\": " + u64(l.checkpoints_saved) +
-         ", \"pruned\": " + u64(l.checkpoints_pruned) +
-         ", \"quarantined\": " + u64(l.checkpoints_quarantined) + "}},\n";
+  out += "  \"lifecycle\": {\"alarms\": " + std::to_string(l.alarms) +
+         ", \"triggered\": " + std::to_string(l.triggered) +
+         ", \"swapped\": " + std::to_string(l.swapped) +
+         ", \"rolled_back\": " + std::to_string(l.rolled_back) +
+         ", \"replay_size\": " + std::to_string(l.replay_size) +
+         ", \"final_accuracy_ewma\": " +
+         obs::json_number(l.final_accuracy_ewma) +
+         ", \"checkpoints\": {\"saved\": " +
+         std::to_string(l.checkpoints_saved) +
+         ", \"pruned\": " + std::to_string(l.checkpoints_pruned) +
+         ", \"quarantined\": " + std::to_string(l.checkpoints_quarantined) +
+         "}},\n";
 
   out += "  \"replay_class_histogram\": [";
   for (std::size_t i = 0; i < report.replay_class_histogram.size(); ++i) {
     if (i != 0) out += ", ";
-    out += u64(report.replay_class_histogram[i]);
+    out += std::to_string(report.replay_class_histogram[i]);
   }
   out += "],\n";
 
-  out += "  \"window_us\": " + u64(report.window_us) + ",\n";
+  out += "  \"window_us\": " + std::to_string(report.window_us) + ",\n";
   out += "  \"windows\": [";
   for (std::size_t i = 0; i < report.windows.size(); ++i) {
     const WindowStats& w = report.windows[i];
     out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"t0_us\": " + u64(w.t0_us) +
-           ", \"arrivals\": " + u64(w.arrivals) +
-           ", \"served\": " + u64(w.served) + ", \"shed\": " + u64(w.shed) +
-           ", \"timeout\": " + u64(w.timeout) +
-           ", \"failed\": " + u64(w.failed) +
-           ", \"canary_total\": " + u64(w.canary_total) +
-           ", \"canary_correct\": " + u64(w.canary_correct) + "}";
+    out += "    {\"t0_us\": " + std::to_string(w.t0_us) +
+           ", \"arrivals\": " + std::to_string(w.arrivals) +
+           ", \"served\": " + std::to_string(w.served) +
+           ", \"shed\": " + std::to_string(w.shed) +
+           ", \"timeout\": " + std::to_string(w.timeout) +
+           ", \"failed\": " + std::to_string(w.failed) +
+           ", \"canary_total\": " + std::to_string(w.canary_total) +
+           ", \"canary_correct\": " + std::to_string(w.canary_correct) + "}";
   }
   out += report.windows.empty() ? "],\n" : "\n  ],\n";
 
@@ -580,20 +578,14 @@ std::string chaos_report_to_json(const ChaosReport& report) {
     out += inv.enabled ? "true" : "false";
     out += ", \"passed\": ";
     out += inv.passed ? "true" : "false";
-    out += ", \"value\": " + fmt(inv.value) +
-           ", \"bound\": " + fmt(inv.bound) + "}";
+    out += ", \"value\": " + obs::json_number(inv.value) +
+           ", \"bound\": " + obs::json_number(inv.bound) + "}";
   }
   out += report.invariants.empty() ? "],\n" : "\n  ],\n";
   out += std::string("  \"passed\": ") + (report.passed ? "true" : "false") +
          "\n";
   out += "}\n";
   return out;
-}
-
-void write_chaos_json(const std::string& path, const ChaosReport& report) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << chaos_report_to_json(report);
 }
 
 }  // namespace generic::chaos

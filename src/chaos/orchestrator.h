@@ -96,9 +96,8 @@ struct ChaosReport {
 /// reported, not thrown.
 ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt);
 
-/// Render as schema `generic.chaos.v1`: fixed field order, "%.9g" doubles,
-/// no wall-clock, thread-count or filesystem-path fields.
+/// Render as schema `generic.chaos.v1`: fixed field order, obs::json_number
+/// doubles, no wall-clock, thread-count or filesystem-path fields.
 std::string chaos_report_to_json(const ChaosReport& report);
-void write_chaos_json(const std::string& path, const ChaosReport& report);
 
 }  // namespace generic::chaos

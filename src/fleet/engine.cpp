@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "data/drift.h"
 #include "encoding/encoders.h"
 #include "model/pipeline.h"
+#include "obs/export.h"
 #include "obs/rtrace.h"
 
 namespace generic::fleet {
@@ -306,18 +305,6 @@ FleetReport FleetEngine::finish() {
 
 // ---- generic.fleet.v1 -----------------------------------------------------
 
-namespace {
-
-/// Shortest lossless %.9g rendering, matching every other generic.*.v1
-/// exporter so goldens stay byte-stable across platforms.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-}  // namespace
-
 void append_party_json(std::string& out, const PartyStats& s,
                        const char* indent) {
   out += "{\"requests\": " + std::to_string(s.requests);
@@ -333,9 +320,10 @@ void append_party_json(std::string& out, const PartyStats& s,
   out += " \"served\": " + std::to_string(s.served);
   out += ", \"correct\": " + std::to_string(s.correct);
   out += ", \"accuracy\": ";
-  append_double(out, s.served == 0 ? 0.0
-                                   : static_cast<double>(s.correct) /
-                                         static_cast<double>(s.served));
+  out += obs::json_number(
+      s.served == 0 ? 0.0
+                    : static_cast<double>(s.correct) /
+                          static_cast<double>(s.served));
   out += ", \"latency_us\": {\"count\": " + std::to_string(s.latency.count);
   out += ", \"p50\": " + std::to_string(s.latency.percentile(0.50));
   out += ", \"p95\": " + std::to_string(s.latency.percentile(0.95));
@@ -445,21 +433,15 @@ std::string fleet_report_to_json(const FleetReport& rep) {
     out += ", \"kind\": \"";
     out += a.fired ? "fire" : "clear";
     out += "\", \"fast_burn\": ";
-    append_double(out, a.fast_burn);
+    out += obs::json_number(a.fast_burn);
     out += ", \"slow_burn\": ";
-    append_double(out, a.slow_burn);
+    out += obs::json_number(a.slow_burn);
     out += "}";
   }
   out += rep.slo_alerts.empty() ? "]\n" : "\n  ]\n";
 
   out += "}\n";
   return out;
-}
-
-void write_fleet_json(const std::string& path, const FleetReport& report) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("write_fleet_json: cannot open " + path);
-  f << fleet_report_to_json(report);
 }
 
 }  // namespace generic::fleet

@@ -75,9 +75,9 @@ struct FleetReport {
   std::vector<serve::BurnAlert> slo_alerts;  ///< fleet-level burn edges
 };
 
-/// Render as schema `generic.fleet.v1`: fixed field order, "%.9g" doubles.
+/// Render as schema `generic.fleet.v1`: fixed field order,
+/// obs::json_number doubles.
 std::string fleet_report_to_json(const FleetReport& report);
-void write_fleet_json(const std::string& path, const FleetReport& report);
 
 /// Shared exporter fragment: one PartyStats object (statuses, accuracy,
 /// latency percentiles). Used by the fleet and tenant_storm renderers so

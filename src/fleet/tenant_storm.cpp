@@ -1,12 +1,10 @@
 #include "fleet/tenant_storm.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <stdexcept>
 
 #include "common/thread_pool.h"
 #include "fleet/simulator.h"
+#include "obs/export.h"
 
 namespace generic::fleet {
 
@@ -141,16 +139,6 @@ StormReport run_tenant_storm(bool quick, std::uint64_t seed,
 
 // ---- generic.chaos.v1 (scenario tenant_storm) -----------------------------
 
-namespace {
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string storm_report_to_json(const StormReport& rep) {
   std::string out;
   out.reserve(1 << 13);
@@ -196,9 +184,9 @@ std::string storm_report_to_json(const StormReport& rep) {
     out += ", \"passed\": ";
     out += inv.passed ? "true" : "false";
     out += ", \"value\": ";
-    append_double(out, inv.value);
+    out += obs::json_number(inv.value);
     out += ", \"bound\": ";
-    append_double(out, inv.bound);
+    out += obs::json_number(inv.bound);
     out += "}";
   }
   out += rep.invariants.empty() ? "],\n" : "\n  ],\n";
@@ -207,12 +195,6 @@ std::string storm_report_to_json(const StormReport& rep) {
   out += rep.passed ? "true" : "false";
   out += "\n}\n";
   return out;
-}
-
-void write_storm_json(const std::string& path, const StormReport& report) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("write_storm_json: cannot open " + path);
-  f << storm_report_to_json(report);
 }
 
 }  // namespace generic::fleet

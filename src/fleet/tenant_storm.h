@@ -55,8 +55,8 @@ StormReport run_tenant_storm(bool quick, std::uint64_t seed,
                              std::size_t threads);
 
 /// Render as schema `generic.chaos.v1` (scenario "tenant_storm"): fixed
-/// field order, "%.9g" doubles, no wall-clock or thread-count fields.
+/// field order, obs::json_number doubles, no wall-clock or thread-count
+/// fields.
 std::string storm_report_to_json(const StormReport& report);
-void write_storm_json(const std::string& path, const StormReport& report);
 
 }  // namespace generic::fleet

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
 #include "common/rng.h"
+#include "obs/export.h"
 #include "obs/obs.h"
 #include "obs/rtrace.h"
 #include "resilience/fault_model.h"
@@ -22,14 +21,6 @@ namespace {
 std::int64_t milli(double v) {
   return static_cast<std::int64_t>(std::llround(v * 1000.0));
 }
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string u64(std::uint64_t v) { return std::to_string(v); }
 
 }  // namespace
 
@@ -320,83 +311,85 @@ std::string lifecycle_report_to_json(const LifecycleReport& report) {
   std::string out = "{\n";
   out += "  \"schema\": \"generic.lifecycle.v1\",\n";
   out += "  \"config\": {\n";
-  out += "    \"drift\": {\"margin_alpha\": " + fmt(c.drift.margin_alpha) +
-         ", \"accuracy_alpha\": " + fmt(c.drift.accuracy_alpha) +
-         ", \"warmup\": " + u64(c.drift.warmup) +
-         ", \"canary_warmup\": " + u64(c.drift.canary_warmup) +
-         ", \"ph_delta\": " + fmt(c.drift.ph_delta) +
-         ", \"ph_lambda\": " + fmt(c.drift.ph_lambda) +
-         ", \"accuracy_drop\": " + fmt(c.drift.accuracy_drop) + "},\n";
-  out += "    \"replay_capacity\": " + u64(c.replay_capacity) +
-         ",\n    \"replay_class_cap\": " + u64(c.replay_class_cap) +
-         ",\n    \"holdout\": " + u64(c.holdout) +
-         ",\n    \"min_replay\": " + u64(c.min_replay) +
-         ",\n    \"min_fresh\": " + u64(c.min_fresh) +
-         ",\n    \"retrain_epochs\": " + u64(c.retrain_epochs) +
-         ",\n    \"retrain_cost_us\": " + u64(c.retrain_cost_us) +
-         ",\n    \"cooldown_us\": " + u64(c.cooldown_us) +
-         ",\n    \"epsilon\": " + fmt(c.epsilon) +
-         ",\n    \"min_dims\": " + u64(c.min_dims) +
-         ",\n    \"initial_version\": " + u64(c.initial_version) +
-         ",\n    \"seed\": " + u64(c.seed) +
-         ",\n    \"shadow_fault_rate\": " + fmt(c.shadow_fault_rate) + "\n";
+  out += "    \"drift\": {\"margin_alpha\": " +
+         obs::json_number(c.drift.margin_alpha) +
+         ", \"accuracy_alpha\": " + obs::json_number(c.drift.accuracy_alpha) +
+         ", \"warmup\": " + std::to_string(c.drift.warmup) +
+         ", \"canary_warmup\": " + std::to_string(c.drift.canary_warmup) +
+         ", \"ph_delta\": " + obs::json_number(c.drift.ph_delta) +
+         ", \"ph_lambda\": " + obs::json_number(c.drift.ph_lambda) +
+         ", \"accuracy_drop\": " + obs::json_number(c.drift.accuracy_drop) +
+         "},\n";
+  out += "    \"replay_capacity\": " + std::to_string(c.replay_capacity) +
+         ",\n    \"replay_class_cap\": " + std::to_string(c.replay_class_cap) +
+         ",\n    \"holdout\": " + std::to_string(c.holdout) +
+         ",\n    \"min_replay\": " + std::to_string(c.min_replay) +
+         ",\n    \"min_fresh\": " + std::to_string(c.min_fresh) +
+         ",\n    \"retrain_epochs\": " + std::to_string(c.retrain_epochs) +
+         ",\n    \"retrain_cost_us\": " + std::to_string(c.retrain_cost_us) +
+         ",\n    \"cooldown_us\": " + std::to_string(c.cooldown_us) +
+         ",\n    \"epsilon\": " + obs::json_number(c.epsilon) +
+         ",\n    \"min_dims\": " + std::to_string(c.min_dims) +
+         ",\n    \"initial_version\": " + std::to_string(c.initial_version) +
+         ",\n    \"seed\": " + std::to_string(c.seed) +
+         ",\n    \"shadow_fault_rate\": " +
+         obs::json_number(c.shadow_fault_rate) + "\n";
   out += "  },\n";
   out += "  \"drift\": {\n";
-  out += "    \"observations\": " + u64(report.observations) +
-         ",\n    \"canaries\": " + u64(report.canaries) +
-         ",\n    \"replay_size\": " + u64(report.replay_size) +
-         ",\n    \"margin_ewma\": " + fmt(report.margin_ewma) +
-         ",\n    \"accuracy_ewma\": " + fmt(report.accuracy_ewma) +
-         ",\n    \"peak_accuracy\": " + fmt(report.peak_accuracy) +
-         ",\n    \"drift_score\": " + fmt(report.drift_score) +
-         ",\n    \"alarms\": " + u64(report.alarms) +
+  out += "    \"observations\": " + std::to_string(report.observations) +
+         ",\n    \"canaries\": " + std::to_string(report.canaries) +
+         ",\n    \"replay_size\": " + std::to_string(report.replay_size) +
+         ",\n    \"margin_ewma\": " + obs::json_number(report.margin_ewma) +
+         ",\n    \"accuracy_ewma\": " + obs::json_number(report.accuracy_ewma) +
+         ",\n    \"peak_accuracy\": " + obs::json_number(report.peak_accuracy) +
+         ",\n    \"drift_score\": " + obs::json_number(report.drift_score) +
+         ",\n    \"alarms\": " + std::to_string(report.alarms) +
          ",\n    \"accuracy_ewma_at_trigger\": " +
-         fmt(report.accuracy_ewma_at_trigger) +
-         ",\n    \"final_accuracy_ewma\": " + fmt(report.final_accuracy_ewma) +
+         obs::json_number(report.accuracy_ewma_at_trigger) +
+         ",\n    \"final_accuracy_ewma\": " +
+         obs::json_number(report.final_accuracy_ewma) +
          "\n  },\n";
-  out += "  \"retrains\": {\"triggered\": " + u64(report.triggered) +
-         ", \"swapped\": " + u64(report.swapped) +
-         ", \"rolled_back\": " + u64(report.rolled_back) + "},\n";
+  out += "  \"retrains\": {\"triggered\": " + std::to_string(report.triggered) +
+         ", \"swapped\": " + std::to_string(report.swapped) +
+         ", \"rolled_back\": " + std::to_string(report.rolled_back) + "},\n";
   out += "  \"events\": [";
   for (std::size_t i = 0; i < report.events.size(); ++i) {
     const LifecycleEvent& e = report.events[i];
     out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"vt_us\": " + u64(e.vt) + ", \"kind\": \"" +
+    out += "    {\"vt_us\": " + std::to_string(e.vt) + ", \"kind\": \"" +
            std::string(event_kind_name(e.kind)) +
-           "\", \"version\": " + u64(e.version) +
-           ", \"drift_score\": " + fmt(e.drift_score) + "}";
+           "\", \"version\": " + std::to_string(e.version) +
+           ", \"drift_score\": " + obs::json_number(e.drift_score) + "}";
   }
   out += report.events.empty() ? "],\n" : "\n  ],\n";
   out += "  \"versions\": [";
   for (std::size_t i = 0; i < report.versions.size(); ++i) {
     const VersionRecord& v = report.versions[i];
     out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"version\": " + u64(v.version) + ", \"source\": \"" +
-           (v.from_retrain ? "retrain" : "initial") +
+    out += "    {\"version\": " + std::to_string(v.version) +
+           ", \"source\": \"" + (v.from_retrain ? "retrain" : "initial") +
            "\", \"installed\": " + (v.installed ? "true" : "false") +
-           ", \"vt_us\": " + u64(v.vt) + ", \"updates\": " + u64(v.updates) +
+           ", \"vt_us\": " + std::to_string(v.vt) +
+           ", \"updates\": " + std::to_string(v.updates) +
            ", \"rungs\": [";
     for (std::size_t r = 0; r < v.rung_dims.size(); ++r) {
       if (r != 0) out += ", ";
-      out += "{\"dims\": " + u64(v.rung_dims[r]) +
-             ", \"holdout_accuracy\": " + fmt(v.holdout_accuracy[r]) +
-             ", \"baseline_accuracy\": " + fmt(v.baseline_accuracy[r]) + "}";
+      out += "{\"dims\": " + std::to_string(v.rung_dims[r]) +
+             ", \"holdout_accuracy\": " +
+             obs::json_number(v.holdout_accuracy[r]) +
+             ", \"baseline_accuracy\": " +
+             obs::json_number(v.baseline_accuracy[r]) + "}";
     }
     out += "]}";
   }
   out += report.versions.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"checkpoints\": {\"saved\": " + u64(report.checkpoints_saved) +
-         ", \"pruned\": " + u64(report.checkpoints_pruned) +
-         ", \"quarantined\": " + u64(report.checkpoints_quarantined) + "}\n";
+  out += "  \"checkpoints\": {\"saved\": " +
+         std::to_string(report.checkpoints_saved) +
+         ", \"pruned\": " + std::to_string(report.checkpoints_pruned) +
+         ", \"quarantined\": " +
+         std::to_string(report.checkpoints_quarantined) + "}\n";
   out += "}\n";
   return out;
-}
-
-void write_lifecycle_json(const std::string& path,
-                          const LifecycleReport& report) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << lifecycle_report_to_json(report);
 }
 
 }  // namespace generic::lifecycle

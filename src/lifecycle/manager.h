@@ -123,12 +123,10 @@ struct LifecycleReport {
   std::uint64_t checkpoints_quarantined = 0;
 };
 
-/// Render as schema `generic.lifecycle.v1`: fixed field order, "%.9g"
-/// doubles, no wall-clock or thread-count fields — byte-identical across
+/// Render as schema `generic.lifecycle.v1`: fixed field order,
+/// obs::json_number doubles, no wall-clock or thread-count fields — byte-identical across
 /// --threads for a fixed (trace, config, seed).
 std::string lifecycle_report_to_json(const LifecycleReport& report);
-void write_lifecycle_json(const std::string& path,
-                          const LifecycleReport& report);
 
 class Manager : public serve::ModelLifecycle {
  public:

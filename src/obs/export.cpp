@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -10,14 +11,6 @@
 
 namespace generic::obs {
 namespace {
-
-/// Same fixed-format doubles as the campaign JSON: round-trippable,
-/// locale-independent.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
 
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';
@@ -108,6 +101,71 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+std::string json_number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+void write_file(const std::string& path, std::string_view content) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  if (!f) throw std::runtime_error("cannot open for writing: " + path);
+  f.write(content.data(), static_cast<std::streamsize>(content.size()));
+  f.close();
+  if (!f) throw std::runtime_error("write failed: " + path);
+}
+
+ChromeTraceWriter::ChromeTraceWriter(std::size_t reserve_bytes) {
+  out_.reserve(reserve_bytes);
+  out_ += "{\n\"traceEvents\": [\n";
+}
+
+void ChromeTraceWriter::next_event() {
+  out_ += first_ ? "" : ",\n";
+  first_ = false;
+}
+
+void ChromeTraceWriter::track(std::uint64_t tid, std::string_view name) {
+  next_event();
+  out_ += "{\"ph\": \"M\", \"pid\": 1, \"tid\": " + std::to_string(tid) +
+          ", \"name\": \"thread_name\", \"args\": {\"name\": ";
+  append_json_string(out_, name);
+  out_ += "}}";
+}
+
+void ChromeTraceWriter::slice(std::uint64_t tid, std::string_view name,
+                              std::string_view cat, std::string_view ts,
+                              std::string_view dur, std::string_view args) {
+  next_event();
+  out_ += "{\"ph\": \"X\", \"pid\": 1, \"tid\": " + std::to_string(tid) +
+          ", \"name\": ";
+  append_json_string(out_, name);
+  out_ += ", \"cat\": ";
+  append_json_string(out_, cat);
+  out_ += ", \"ts\": ";
+  out_ += ts;
+  out_ += ", \"dur\": ";
+  out_ += dur;
+  if (!args.empty()) {
+    out_ += ", \"args\": {";
+    out_ += args;
+    out_ += "}";
+  }
+  out_ += "}";
+}
+
+void ChromeTraceWriter::event(std::string_view object) {
+  next_event();
+  out_ += object;
+}
+
+std::string ChromeTraceWriter::finish(std::string_view other_data) {
+  out_ += "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {";
+  out_ += other_data;
+  out_ += "}\n}\n";
+  return std::move(out_);
+}
+
 MetricsSnapshot collect_metrics() {
   Registry& reg = Registry::instance();
   MetricsSnapshot snap;
@@ -129,7 +187,7 @@ std::string metrics_to_json(const MetricsSnapshot& snap) {
   out += std::string("  \"obs_enabled\": ") +
          (snap.enabled ? "true" : "false") + ",\n";
   out += "  \"wall_time_s\": ";
-  append_double(out, snap.wall_time_s);
+  out += json_number(snap.wall_time_s);
   out += ",\n  \"peak_rss_bytes\": " + std::to_string(snap.peak_rss_bytes);
   out += ",\n  \"dropped_spans\": " + std::to_string(snap.dropped_spans);
 
@@ -179,15 +237,15 @@ std::string metrics_to_json(const MetricsSnapshot& snap) {
     append_json_string(out, name);
     out += ", \"calls\": " + std::to_string(s.calls);
     out += ", \"total_s\": ";
-    append_double(out, ns_to_s(s.total_ns));
+    out += json_number(ns_to_s(s.total_ns));
     out += ", \"mean_s\": ";
-    append_double(out, s.calls == 0 ? 0.0
+    out += json_number(s.calls == 0 ? 0.0
                                     : ns_to_s(s.total_ns) /
                                           static_cast<double>(s.calls));
     out += ", \"min_s\": ";
-    append_double(out, ns_to_s(s.min_ns));
+    out += json_number(ns_to_s(s.min_ns));
     out += ", \"max_s\": ";
-    append_double(out, ns_to_s(s.max_ns));
+    out += json_number(ns_to_s(s.max_ns));
     out += "}";
   }
   out += snap.stages.empty() ? "]" : "\n  ]";
@@ -216,7 +274,7 @@ std::string metrics_to_json(const MetricsSnapshot& snap) {
     out += "    ";
     append_json_string(out, d.key);
     out += ": ";
-    append_double(out, static_cast<double>(c) / ns_to_s(s->total_ns));
+    out += json_number(static_cast<double>(c) / ns_to_s(s->total_ns));
   }
   out += first ? "}" : "\n  }";
 
@@ -228,7 +286,7 @@ std::string metrics_to_json(const MetricsSnapshot& snap) {
     out += "{\n";
     out += "    \"lanes\": " + std::to_string(p.lanes) + ",\n";
     out += "    \"wall_s\": ";
-    append_double(out, ns_to_s(p.wall_ns));
+    out += json_number(ns_to_s(p.wall_ns));
     out += ",\n    \"jobs\": " + std::to_string(p.jobs) + ",\n";
     out += "    \"chunks_executed\": " + std::to_string(p.chunks) + ",\n";
     out += "    \"max_chunks_per_job\": " +
@@ -239,9 +297,9 @@ std::string metrics_to_json(const MetricsSnapshot& snap) {
       out += i == 0 ? "\n" : ",\n";
       out += "      {\"lane\": " + std::to_string(i);
       out += ", \"busy_s\": ";
-      append_double(out, ns_to_s(lane.busy_ns));
+      out += json_number(ns_to_s(lane.busy_ns));
       out += ", \"idle_s\": ";
-      append_double(out, ns_to_s(p.wall_ns > lane.busy_ns
+      out += json_number(ns_to_s(p.wall_ns > lane.busy_ns
                                      ? p.wall_ns - lane.busy_ns
                                      : 0));
       out += ", \"chunks\": " + std::to_string(lane.chunks);
@@ -257,9 +315,9 @@ std::string metrics_to_json(const MetricsSnapshot& snap) {
   } else {
     const HardwareStats& hw = *snap.hardware;
     out += "{\"energy_j\": ";
-    append_double(out, hw.energy_j);
+    out += json_number(hw.energy_j);
     out += ", \"elapsed_s\": ";
-    append_double(out, hw.elapsed_s);
+    out += json_number(hw.elapsed_s);
     out += ", \"cycles\": " + std::to_string(hw.cycles);
     out += "}";
   }
@@ -292,69 +350,25 @@ std::string metrics_to_json_line(const MetricsSnapshot& snapshot) {
 std::string trace_to_json() {
   Registry& reg = Registry::instance();
   const auto events = reg.trace_events();
-  const auto tracks = reg.track_names();
-  std::string out;
-  out.reserve(256 + events.size() * 96);
-  out += "{\n\"traceEvents\": [\n";
-  bool first = true;
-  for (const auto& [track, name] : tracks) {
-    out += first ? "" : ",\n";
-    first = false;
-    out += "{\"ph\": \"M\", \"pid\": 1, \"tid\": " + std::to_string(track) +
-           ", \"name\": \"thread_name\", \"args\": {\"name\": ";
-    append_json_string(out, name);
-    out += "}}";
-  }
-  char buf[64];
+  ChromeTraceWriter trace(256 + events.size() * 96);
+  for (const auto& [track, name] : reg.track_names()) trace.track(track, name);
+  char ts[32];
+  char dur[32];
   for (const auto& e : events) {
-    out += first ? "" : ",\n";
-    first = false;
-    out += "{\"ph\": \"X\", \"pid\": 1, \"tid\": " + std::to_string(e.track) +
-           ", \"name\": ";
-    append_json_string(out, e.name);
-    out += ", \"cat\": \"generic\", \"ts\": ";
-    std::snprintf(buf, sizeof(buf), "%.3f",
+    std::snprintf(ts, sizeof(ts), "%.3f",
                   static_cast<double>(e.start_ns) * 1e-3);
-    out += buf;
-    out += ", \"dur\": ";
-    std::snprintf(buf, sizeof(buf), "%.3f",
+    std::snprintf(dur, sizeof(dur), "%.3f",
                   static_cast<double>(e.end_ns - e.start_ns) * 1e-3);
-    out += buf;
-    if (e.num_args > 0) {
-      out += ", \"args\": {";
-      for (std::uint32_t i = 0; i < e.num_args; ++i) {
-        if (i != 0) out += ", ";
-        append_json_string(out, e.args[i].key);
-        out += ": " + std::to_string(e.args[i].value);
-      }
-      out += "}";
+    std::string args;
+    for (std::uint32_t i = 0; i < e.num_args; ++i) {
+      if (i != 0) args += ", ";
+      append_json_string(args, e.args[i].key);
+      args += ": " + std::to_string(e.args[i].value);
     }
-    out += "}";
+    trace.slice(e.track, e.name, "generic", ts, dur, args);
   }
-  out += "\n],\n\"displayTimeUnit\": \"ms\",\n";
-  out += "\"otherData\": {\"schema\": \"generic.trace.v1\", \"dropped_spans\": " +
-         std::to_string(reg.dropped_spans()) + "}\n}\n";
-  return out;
-}
-
-namespace {
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  f << content;
-  if (!f) throw std::runtime_error("write failed: " + path);
-}
-
-}  // namespace
-
-void write_metrics_json(const std::string& path,
-                        const MetricsSnapshot& snapshot) {
-  write_file(path, metrics_to_json(snapshot));
-}
-
-void write_trace_json(const std::string& path) {
-  write_file(path, trace_to_json());
+  return trace.finish("\"schema\": \"generic.trace.v1\", \"dropped_spans\": " +
+                      std::to_string(reg.dropped_spans()));
 }
 
 Session::Session(std::string trace_path, std::string metrics_path)
@@ -412,7 +426,7 @@ Session::~Session() {
   }
   try {
     if (!trace_path_.empty()) {
-      write_trace_json(trace_path_);
+      write_file(trace_path_, trace_to_json());
       std::fprintf(stderr, "trace written to %s\n", trace_path_.c_str());
     }
     if (!metrics_path_.empty()) {
@@ -428,7 +442,7 @@ Session::~Session() {
         f << metrics_to_json_line(snap);
         if (!f) throw std::runtime_error("write failed: " + metrics_path_);
       } else {
-        write_metrics_json(metrics_path_, snap);
+        write_file(metrics_path_, metrics_to_json(snap));
       }
       std::fprintf(stderr, "metrics written to %s\n", metrics_path_.c_str());
     }

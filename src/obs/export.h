@@ -1,13 +1,17 @@
 // Exporters over the obs Registry: Chrome trace-event JSON (--trace,
 // loadable in Perfetto / chrome://tracing) and the stable
-// generic.metrics.v1 snapshot (--metrics). See docs/observability.md for
-// the schema reference and span taxonomy.
+// generic.metrics.v1 snapshot (--metrics). Also the number format and the
+// checked file write that every generic.*.v1 document shares. See
+// docs/observability.md for the schema reference and span taxonomy.
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "obs/obs.h"
@@ -48,6 +52,47 @@ void append_json_escaped(std::string& out, std::string_view s);
 /// `s` as a complete JSON string literal, quotes included.
 std::string json_escape(std::string_view s);
 
+/// The one number format of every generic.*.v1 document: printf %.9g,
+/// enough digits to round-trip a float, in the C locale the tools run in,
+/// so equal values always render as equal bytes.
+std::string json_number(double v);
+
+/// Write `content` to `path`, replacing what was there. Every generic.*.v1
+/// document reaches disk through here. Throws std::runtime_error when the
+/// file cannot be opened, the write fails, or the close fails: a buffered
+/// stream may only learn of a full disk when it flushes at close, so the
+/// stream is checked after closing.
+void write_file(const std::string& path, std::string_view content);
+
+/// The Chrome trace-event frame (loadable in Perfetto / chrome://tracing)
+/// shared by trace_to_json (wall-clock spans) and rtrace_to_chrome_json
+/// (virtual time, flow arrows). It owns the traceEvents header, the event
+/// separators, the "M" thread_name records, the "X" slice key order and
+/// the displayTimeUnit/otherData footer.
+class ChromeTraceWriter {
+ public:
+  explicit ChromeTraceWriter(std::size_t reserve_bytes);
+
+  /// "M" record naming track `tid`.
+  void track(std::uint64_t tid, std::string_view name);
+  /// "X" slice. `ts` and `dur` are rendered numbers; `args` is the body of
+  /// the args object without braces, and the key is omitted when empty.
+  void slice(std::uint64_t tid, std::string_view name, std::string_view cat,
+             std::string_view ts, std::string_view dur,
+             std::string_view args);
+  /// Any other event, given as its complete JSON object.
+  void event(std::string_view object);
+  /// Close the event array and return the document; `other_data` is the
+  /// body of the otherData object without braces.
+  std::string finish(std::string_view other_data);
+
+ private:
+  void next_event();
+
+  std::string out_;
+  bool first_ = true;
+};
+
 /// Collect a snapshot from the process-wide registry.
 MetricsSnapshot collect_metrics();
 
@@ -64,10 +109,6 @@ std::string metrics_to_json_line(const MetricsSnapshot& snapshot);
 /// Render every recorded span as a Chrome trace-event JSON document with
 /// one track per recording thread.
 std::string trace_to_json();
-
-void write_metrics_json(const std::string& path,
-                        const MetricsSnapshot& snapshot);
-void write_trace_json(const std::string& path);
 
 /// RAII harness hook: construction turns collection on for the outputs that
 /// were requested (empty path == not requested); destruction writes the

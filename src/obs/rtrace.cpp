@@ -1,11 +1,11 @@
 #include "obs/rtrace.h"
 
 #include <algorithm>
-#include <fstream>
 #include <mutex>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
+
+#include "obs/export.h"
 
 namespace generic::obs::rtrace {
 
@@ -209,13 +209,6 @@ void append_event_array(std::string& out, const std::vector<Event>& events) {
   out += events.empty() ? "]\n" : "\n  ]\n";
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  f << content;
-  if (!f) throw std::runtime_error("write failed: " + path);
-}
-
 }  // namespace
 
 std::string rtrace_to_json(const TraceLog& log) {
@@ -256,18 +249,10 @@ std::string rtrace_to_chrome_json(const TraceLog& log) {
   // request's life reads as a staircase across queue/encode/predict/swap
   // tracks; the flow arrows stitch the staircase together. Timestamps are
   // VIRTUAL microseconds — the document is deterministic by construction.
-  std::string out;
-  out.reserve(512 + log.events.size() * 224);
-  out += "{\n\"traceEvents\": [\n";
-  bool first = true;
-  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-    out += first ? "" : ",\n";
-    first = false;
-    out += "{\"ph\": \"M\", \"pid\": 1, \"tid\": " + std::to_string(k) +
-           ", \"name\": \"thread_name\", \"args\": {\"name\": \"rtrace.";
-    out += event_kind_name(static_cast<EventKind>(k));
-    out += "\"}}";
-  }
+  ChromeTraceWriter trace(512 + log.events.size() * 224);
+  for (std::size_t k = 0; k < kNumEventKinds; ++k)
+    trace.track(k, "rtrace." +
+                       std::string(event_kind_name(static_cast<EventKind>(k))));
 
   // First/last seq per request: the async request span and the flow arrow
   // phases (s = first, t = middle, f = last) hang off them.
@@ -285,66 +270,41 @@ std::string rtrace_to_chrome_json(const TraceLog& log) {
   for (const Event& e : log.events) {
     const std::string tid = std::to_string(static_cast<std::size_t>(e.kind));
     const std::string ts = std::to_string(e.vt_us);
-    out += first ? "" : ",\n";
-    first = false;
-    out += "{\"ph\": \"X\", \"pid\": 1, \"tid\": " + tid + ", \"name\": \"";
-    out += event_kind_name(e.kind);
-    out += "\", \"cat\": \"rtrace\", \"ts\": " + ts + ", \"dur\": 1";
-    out += ", \"args\": {\"seq\": " + std::to_string(e.seq);
+    std::string args = "\"seq\": " + std::to_string(e.seq);
     if (e.request != kNoRequest)
-      out += ", \"request\": " + std::to_string(e.request);
-    out += ", \"version\": " + std::to_string(e.version);
-    out += ", \"rung\": " + std::to_string(e.rung);
-    out += ", \"detail\": " + std::to_string(e.detail) + "}}";
+      args += ", \"request\": " + std::to_string(e.request);
+    args += ", \"version\": " + std::to_string(e.version);
+    args += ", \"rung\": " + std::to_string(e.rung);
+    args += ", \"detail\": " + std::to_string(e.detail);
+    trace.slice(static_cast<std::size_t>(e.kind), event_kind_name(e.kind),
+                "rtrace", ts, "1", args);
 
     if (e.request == kNoRequest) continue;
     const auto& [first_seq, last_seq] = bounds.at(e.request);
+    if (first_seq == last_seq) continue;
     const std::string id = std::to_string(e.request);
-    if (e.seq == first_seq && first_seq != last_seq) {
-      out += ",\n{\"ph\": \"b\", \"pid\": 1, \"tid\": " + tid +
-             ", \"name\": \"request\", \"cat\": \"rtrace.request\", \"id\": " +
-             id + ", \"ts\": " + ts + "}";
-    }
-    if (first_seq != last_seq) {
-      const char* ph = e.seq == first_seq ? "s"
-                       : e.seq == last_seq ? "f"
-                                           : "t";
-      out += ",\n{\"ph\": \"";
-      out += ph;
-      out += "\", \"pid\": 1, \"tid\": " + tid +
-             ", \"name\": \"request\", \"cat\": \"rtrace.flow\", \"id\": " +
-             id + ", \"ts\": " + ts;
-      if (*ph == 'f') out += ", \"bp\": \"e\"";
-      out += "}";
-    }
-    if (e.seq == last_seq && first_seq != last_seq) {
-      out += ",\n{\"ph\": \"e\", \"pid\": 1, \"tid\": " + tid +
-             ", \"name\": \"request\", \"cat\": \"rtrace.request\", \"id\": " +
-             id + ", \"ts\": " + ts + "}";
-    }
+    auto request_event = [&](const char* ph, const char* cat,
+                             const char* tail) {
+      trace.event(std::string("{\"ph\": \"") + ph +
+                  "\", \"pid\": 1, \"tid\": " + tid +
+                  ", \"name\": \"request\", \"cat\": \"" + cat +
+                  "\", \"id\": " + id + ", \"ts\": " + ts + tail + "}");
+    };
+    const bool is_first = e.seq == first_seq;
+    const bool is_last = e.seq == last_seq;
+    if (is_first) request_event("b", "rtrace.request", "");
+    request_event(is_first ? "s" : is_last ? "f" : "t", "rtrace.flow",
+                  is_last ? ", \"bp\": \"e\"" : "");
+    if (is_last) request_event("e", "rtrace.request", "");
   }
-  out += "\n],\n\"displayTimeUnit\": \"ms\",\n";
-  out += "\"otherData\": {\"schema\": \"generic.rtrace.chrome.v1\", ";
-  out += "\"obs_enabled\": ";
-  out += kObsEnabled ? "true" : "false";
-  out += ", \"dropped\": " + std::to_string(log.dropped) + "}\n}\n";
-  return out;
+  return trace.finish(std::string("\"schema\": \"generic.rtrace.chrome.v1\", "
+                                  "\"obs_enabled\": ") +
+                      (kObsEnabled ? "true" : "false") +
+                      ", \"dropped\": " + std::to_string(log.dropped));
 }
 
 std::string rtrace_to_chrome_json() {
   return rtrace_to_chrome_json(trace_log());
-}
-
-void write_rtrace_json(const std::string& path, const TraceLog& log) {
-  write_file(path, rtrace_to_json(log));
-}
-
-void write_rtrace_chrome_json(const std::string& path, const TraceLog& log) {
-  write_file(path, rtrace_to_chrome_json(log));
-}
-
-void write_flight_json(const std::string& path, const FlightLog& log) {
-  write_file(path, flight_to_json(log));
 }
 
 }  // namespace generic::obs::rtrace

@@ -203,8 +203,4 @@ std::string rtrace_to_chrome_json();
 std::string flight_to_json(const FlightLog& log);
 std::string flight_to_json();
 
-void write_rtrace_json(const std::string& path, const TraceLog& log);
-void write_rtrace_chrome_json(const std::string& path, const TraceLog& log);
-void write_flight_json(const std::string& path, const FlightLog& log);
-
 }  // namespace generic::obs::rtrace

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 
+#include "obs/export.h"
 #include "obs/obs.h"
 #include "resilience/block_guard.h"
 
@@ -43,14 +42,6 @@ double evaluate_masked(const model::HdcClassifier& clf,
                                 model::NormMode::kUpdated, ok)
                 .cls == labels[i];
   return static_cast<double>(hits) / static_cast<double>(encoded.size());
-}
-
-/// Fixed-format double for the JSON output: enough digits to round-trip
-/// an accuracy, no locale dependence.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
 }
 
 /// Per-trial outcome collected by the Monte Carlo fan-out.
@@ -284,36 +275,28 @@ std::string campaign_to_json(const CampaignResult& result) {
            std::to_string(result.encoder_footprint_bytes) + "},\n";
   }
   out += "  \"baseline_accuracy\": ";
-  append_double(out, result.baseline_accuracy);
+  out += obs::json_number(result.baseline_accuracy);
   out += ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const auto& c = result.cells[i];
     out += "    {\"fault\": \"";
     out += fault_kind_name(c.kind);
     out += "\", \"rate\": ";
-    append_double(out, c.rate);
+    out += obs::json_number(c.rate);
     out += ", \"mean_accuracy\": ";
-    append_double(out, c.mean_accuracy);
+    out += obs::json_number(c.mean_accuracy);
     out += ", \"stddev_accuracy\": ";
-    append_double(out, c.stddev_accuracy);
+    out += obs::json_number(c.stddev_accuracy);
     out += ", \"min_accuracy\": ";
-    append_double(out, c.min_accuracy);
+    out += obs::json_number(c.min_accuracy);
     out += ", \"max_accuracy\": ";
-    append_double(out, c.max_accuracy);
+    out += obs::json_number(c.max_accuracy);
     out += ", \"mean_blocks_masked\": ";
-    append_double(out, c.mean_blocks_masked);
+    out += obs::json_number(c.mean_blocks_masked);
     out += i + 1 < result.cells.size() ? "},\n" : "}\n";
   }
   out += "  ]\n}\n";
   return out;
-}
-
-void write_campaign_json(const std::string& path,
-                         const CampaignResult& result) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  f << campaign_to_json(result);
-  if (!f) throw std::runtime_error("write failed: " + path);
 }
 
 }  // namespace generic::resilience

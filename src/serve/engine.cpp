@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
+#include "obs/export.h"
 #include "obs/rtrace.h"
 #include "resilience/fault_model.h"
 
@@ -593,16 +592,6 @@ void ServeEngine::flush_rung(std::size_t rung) {
 
 // ---- generic.serve.v1 -----------------------------------------------------
 
-namespace {
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string serve_report_to_json(const ServeReport& rep) {
   const ServeConfig& c = rep.config;
   std::string out;
@@ -620,39 +609,39 @@ std::string serve_report_to_json(const ServeReport& rep) {
   out += "    \"backoff_base_us\": " + std::to_string(c.backoff_base_us) +
          ",\n";
   out += "    \"backoff_jitter\": ";
-  append_double(out, c.backoff_jitter);
+  out += obs::json_number(c.backoff_jitter);
   out += ",\n    \"min_dims\": " + std::to_string(c.min_dims) + ",\n";
   out += "    \"service_base_us\": " + std::to_string(c.service_base_us) +
          ",\n";
   out += "    \"service_jitter\": ";
-  append_double(out, c.service_jitter);
+  out += obs::json_number(c.service_jitter);
   out += ",\n    \"fault_rate\": ";
-  append_double(out, c.fault_rate);
+  out += obs::json_number(c.fault_rate);
   out += ",\n    \"fault_bit_rate\": ";
-  append_double(out, c.fault_bit_rate);
+  out += obs::json_number(c.fault_bit_rate);
   out += ",\n    \"seed\": " + std::to_string(c.seed) + ",\n";
   out += "    \"compute_batch\": " + std::to_string(c.compute_batch) + ",\n";
   out += "    \"ewma_alpha\": ";
-  append_double(out, c.ewma_alpha);
+  out += obs::json_number(c.ewma_alpha);
   out += ",\n    \"cooldown\": " + std::to_string(c.cooldown) + ",\n";
   out += "    \"step_up_frac\": ";
-  append_double(out, c.step_up_frac);
+  out += obs::json_number(c.step_up_frac);
   out += ",\n    \"slo_target\": ";
-  append_double(out, c.slo_target);
+  out += obs::json_number(c.slo_target);
   out += ",\n    \"burn_fast_window_us\": " +
          std::to_string(c.burn_fast_window_us) + ",\n";
   out += "    \"burn_slow_window_us\": " +
          std::to_string(c.burn_slow_window_us) + ",\n";
   out += "    \"burn_fast_threshold\": ";
-  append_double(out, c.burn_fast_threshold);
+  out += obs::json_number(c.burn_fast_threshold);
   out += ",\n    \"burn_slow_threshold\": ";
-  append_double(out, c.burn_slow_threshold);
+  out += obs::json_number(c.burn_slow_threshold);
   out += ",\n    \"burn_min_events\": " + std::to_string(c.burn_min_events);
   out += "\n  },\n";
   out += "  \"requests\": " + std::to_string(rep.requests) + ",\n";
   out += "  \"makespan_us\": " + std::to_string(rep.makespan_us) + ",\n";
   out += "  \"throughput_rps\": ";
-  append_double(out, rep.throughput_rps);
+  out += obs::json_number(rep.throughput_rps);
   out += ",\n  \"outcomes\": {";
   for (std::size_t i = 0; i < kNumOutcomes; ++i) {
     out += i == 0 ? "" : ", ";
@@ -687,9 +676,10 @@ std::string serve_report_to_json(const ServeReport& rep) {
   out += "  \"accuracy\": {\"served\": " + std::to_string(rep.served);
   out += ", \"correct\": " + std::to_string(rep.correct);
   out += ", \"value\": ";
-  append_double(out, rep.served == 0 ? 0.0
-                                     : static_cast<double>(rep.correct) /
-                                           static_cast<double>(rep.served));
+  out += obs::json_number(
+      rep.served == 0 ? 0.0
+                      : static_cast<double>(rep.correct) /
+                            static_cast<double>(rep.served));
   out += "},\n";
 
   out += "  \"degradation\": {\n";
@@ -705,9 +695,10 @@ std::string serve_report_to_json(const ServeReport& rep) {
     out += ", \"served\": " + std::to_string(s.served);
     out += ", \"correct\": " + std::to_string(s.correct);
     out += ", \"accuracy\": ";
-    append_double(out, s.served == 0 ? 0.0
-                                     : static_cast<double>(s.correct) /
-                                           static_cast<double>(s.served));
+    out += obs::json_number(
+        s.served == 0 ? 0.0
+                      : static_cast<double>(s.correct) /
+                            static_cast<double>(s.served));
     out += ", \"latency_us\": {\"count\": " + std::to_string(s.latency.count);
     out += ", \"p50\": " + std::to_string(s.latency.percentile(0.50));
     out += ", \"p95\": " + std::to_string(s.latency.percentile(0.95));
@@ -725,9 +716,9 @@ std::string serve_report_to_json(const ServeReport& rep) {
     out += ", \"kind\": \"";
     out += a.fired ? "fire" : "clear";
     out += "\", \"fast_burn\": ";
-    append_double(out, a.fast_burn);
+    out += obs::json_number(a.fast_burn);
     out += ", \"slow_burn\": ";
-    append_double(out, a.slow_burn);
+    out += obs::json_number(a.slow_burn);
     out += "}";
   }
   out += rep.slo_alerts.empty() ? "],\n" : "\n  ],\n";
@@ -752,9 +743,10 @@ std::string serve_report_to_json(const ServeReport& rep) {
     out += ", \"served\": " + std::to_string(v.served);
     out += ", \"correct\": " + std::to_string(v.correct);
     out += ", \"accuracy\": ";
-    append_double(out, v.served == 0 ? 0.0
-                                     : static_cast<double>(v.correct) /
-                                           static_cast<double>(v.served));
+    out += obs::json_number(
+        v.served == 0 ? 0.0
+                      : static_cast<double>(v.correct) /
+                            static_cast<double>(v.served));
     out += "}";
   }
   out += rep.versions.empty() ? "]" : "\n    ]";
@@ -781,13 +773,6 @@ std::string serve_report_to_json(const ServeReport& rep) {
   out += "  \"scrubbed_rows\": " + std::to_string(rep.scrubbed_rows) + "\n";
   out += "}\n";
   return out;
-}
-
-void write_serve_json(const std::string& path, const ServeReport& report) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  f << serve_report_to_json(report);
-  if (!f) throw std::runtime_error("write failed: " + path);
 }
 
 }  // namespace generic::serve

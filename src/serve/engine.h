@@ -112,9 +112,9 @@ struct ServeReport {
   std::uint64_t scrubbed_rows = 0;     ///< encoder rows rematerialized, total
 };
 
-/// Render as schema `generic.serve.v1`: fixed field order, "%.9g" doubles.
+/// Render as schema `generic.serve.v1`: fixed field order,
+/// obs::json_number doubles.
 std::string serve_report_to_json(const ServeReport& report);
-void write_serve_json(const std::string& path, const ServeReport& report);
 
 class ServeEngine {
  public:

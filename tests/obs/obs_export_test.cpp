@@ -1,6 +1,7 @@
 // Tests for the exporters (src/obs/export.h): the generic.metrics.v1 JSON
 // field order, the Chrome trace-event shape, derived-throughput emission
-// rules, and Session file writing / flag lifecycle.
+// rules, Session file writing / flag lifecycle, and the number format and
+// checked file write every generic.*.v1 document shares.
 #include "obs/export.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "obs/obs.h"
@@ -333,6 +335,38 @@ TEST(JsonEscape, AppendVariantAppendsWithoutQuotes) {
   std::string out = "prefix:";
   append_json_escaped(out, "a\"b");
   EXPECT_EQ(out, "prefix:a\\\"b");
+}
+
+TEST(JsonNumber, RendersNineSignificantDigits) {
+  EXPECT_EQ(json_number(0.1), "0.1");
+  EXPECT_EQ(json_number(1.0 / 3), "0.333333333");
+  EXPECT_EQ(json_number(4095.0), "4095");
+  EXPECT_EQ(json_number(1e-12), "1e-12");
+  EXPECT_EQ(json_number(2633.14824), "2633.14824");
+}
+
+TEST(WriteFile, WritesBackTheExactBytes) {
+  const std::string path = ::testing::TempDir() + "obs_write_file.json";
+  write_file(path, std::string(4096, 'x'));
+  // A shorter document replaces the longer one entirely; embedded NULs,
+  // CRs and non-ASCII bytes pass through untouched.
+  const std::string content("{\"a\": 1}\r\n\0\xff\n", 14);
+  write_file(path, content);
+  EXPECT_EQ(slurp(path), content);
+  std::remove(path.c_str());
+}
+
+TEST(WriteFile, ThrowsWhenTheDirectoryIsMissing) {
+  const std::string path =
+      ::testing::TempDir() + "obs_no_such_dir/report.json";
+  EXPECT_THROW(write_file(path, "{}\n"), std::runtime_error);
+}
+
+TEST(WriteFile, ThrowsWhenTheDeviceIsFull) {
+  // A 1-byte document sits in the stream buffer until close, so only a
+  // checked close sees the ENOSPC.
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  EXPECT_THROW(write_file("/dev/full", "x"), std::runtime_error);
 }
 
 TEST_F(ObsExport, CollectMetricsReportsProcessFacts) {

@@ -13,6 +13,7 @@
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
 #include "model/pipeline.h"
+#include "obs/export.h"
 
 namespace generic::resilience {
 namespace {
@@ -124,7 +125,7 @@ TEST(Campaign, JsonShapeAndFileRoundTrip) {
   const auto path = (std::filesystem::temp_directory_path() /
                      "generic_campaign_test.json")
                         .string();
-  write_campaign_json(path, res);
+  obs::write_file(path, campaign_to_json(res));
   std::ifstream f(path);
   std::string contents((std::istreambuf_iterator<char>(f)),
                        std::istreambuf_iterator<char>());

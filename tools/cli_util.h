@@ -1,57 +1,48 @@
-// Minimal flag parsing shared by the CLI tools.
+// Exit-status and output helpers shared by the CLI tools. Flags are parsed
+// by bench::Flags (bench/bench_util.h), the same strict parser the bench
+// binaries use.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <string>
-#include <string_view>
 
-#include "hdc/kernels.h"
+#include "obs/export.h"
+#include "obs/rtrace.h"
 
 namespace generic::tools {
 
-inline bool has_flag(int argc, char** argv, std::string_view flag) {
-  for (int i = 1; i < argc; ++i)
-    if (flag == argv[i]) return true;
-  return false;
-}
-
-inline std::string flag_value(int argc, char** argv, std::string_view key,
-                              std::string_view fallback = "") {
-  const std::string prefix = std::string(key) + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0)
-      return std::string(arg.substr(prefix.size()));
-  }
-  return std::string(fallback);
-}
-
-inline std::size_t flag_size(int argc, char** argv, std::string_view key,
-                             std::size_t fallback) {
-  const std::string v = flag_value(argc, argv, key);
-  return v.empty() ? fallback : static_cast<std::size_t>(std::stoull(v));
-}
-
-inline double flag_double(int argc, char** argv, std::string_view key,
-                          double fallback) {
-  const std::string v = flag_value(argc, argv, key);
-  return v.empty() ? fallback : std::stod(v);
-}
-
-/// Apply --kernel-backend=<auto|scalar|avx2|avx512|neon>: force the
-/// XOR+popcount kernel backend (hdc/kernels.h) before any hypervector work
-/// runs. GENERIC_KERNEL_BACKEND sets the same thing from the environment;
-/// the flag wins because it resolves first. Unknown or uncompiled backends
-/// exit(2) with the list of choices this binary actually has.
-inline void apply_kernel_backend(int argc, char** argv) {
-  const std::string name = flag_value(argc, argv, "--kernel-backend", "auto");
+/// Exit status of `run(argc, argv)`. An exception escaping it, such as a
+/// failed report write or an unreadable input file, prints
+/// `error: <what>` and exits 1.
+inline int run_main(int (*run)(int, char**), int argc, char** argv) {
   try {
-    hdc::kernels::set_backend_from_string(name);
+    return run(argc, argv);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "--kernel-backend: %s\n", e.what());
-    std::exit(2);
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
+
+/// Write the request-trace documents of the live recorder that were asked
+/// for; an empty path skips that document. --rtrace is generic.rtrace.v1,
+/// --rtrace-chrome the Chrome trace-event view, --flight-dump
+/// generic.flight.v1. A failed write throws (obs::write_file).
+inline void write_rtrace_outputs(const std::string& rtrace_path,
+                                 const std::string& chrome_path,
+                                 const std::string& flight_path) {
+  if (!rtrace_path.empty()) {
+    obs::write_file(rtrace_path, obs::rtrace::rtrace_to_json());
+    std::printf("rtrace written to %s\n", rtrace_path.c_str());
+  }
+  if (!chrome_path.empty()) {
+    obs::write_file(chrome_path, obs::rtrace::rtrace_to_chrome_json());
+    std::printf("rtrace chrome trace written to %s\n", chrome_path.c_str());
+  }
+  if (!flight_path.empty()) {
+    obs::write_file(flight_path, obs::rtrace::flight_to_json());
+    std::printf("flight recorder dumped to %s\n", flight_path.c_str());
   }
 }
 

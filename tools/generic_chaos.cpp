@@ -32,10 +32,15 @@
 #include "bench/bench_util.h"
 #include "chaos/orchestrator.h"
 #include "fleet/tenant_storm.h"
+#include "obs/export.h"
+#include "obs/rtrace.h"
+#include "tools/cli_util.h"
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const bool list = flags.has("--list");
@@ -107,14 +112,15 @@ int main(int argc, char** argv) {
 
     if (!out_dir.empty()) {
       const std::string path = out_dir + "/" + spec.name + ".json";
-      chaos::write_chaos_json(path, report);
+      obs::write_file(path, chaos::chaos_report_to_json(report));
       std::printf("  report written to %s\n", path.c_str());
     }
     if (!rtrace_dir.empty()) {
       const std::string base = rtrace_dir + "/" + spec.name;
-      obs::rtrace::write_rtrace_json(base + ".rtrace.json", report.rtrace);
-      obs::rtrace::write_rtrace_chrome_json(base + ".rtrace.chrome.json",
-                                            report.rtrace);
+      obs::write_file(base + ".rtrace.json",
+                      obs::rtrace::rtrace_to_json(report.rtrace));
+      obs::write_file(base + ".rtrace.chrome.json",
+                      obs::rtrace::rtrace_to_chrome_json(report.rtrace));
       std::printf("  rtrace written to %s.rtrace.json\n", base.c_str());
     }
     // The black box: always dumped on demand, and automatically on any
@@ -124,7 +130,7 @@ int main(int argc, char** argv) {
                               : !out_dir.empty()  ? out_dir
                                                   : std::string(".");
       const std::string path = dir + "/" + spec.name + ".flight.json";
-      obs::rtrace::write_flight_json(path, report.flight);
+      obs::write_file(path, obs::rtrace::flight_to_json(report.flight));
       std::printf("  flight recorder %s to %s\n",
                   report.passed ? "dumped" : "auto-dumped on failure",
                   path.c_str());
@@ -145,10 +151,14 @@ int main(int argc, char** argv) {
     }
     if (!out_dir.empty()) {
       const std::string path = out_dir + "/tenant_storm.json";
-      fleet::write_storm_json(path, storm);
+      obs::write_file(path, fleet::storm_report_to_json(storm));
       std::printf("  report written to %s\n", path.c_str());
     }
   }
 
   return all_passed ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tools::run_main(run, argc, argv); }

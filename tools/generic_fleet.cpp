@@ -29,7 +29,6 @@
 // error, timeout, or early disconnect (the report of a failed socket run
 // is not comparable).
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -41,10 +40,13 @@
 #include "net/server.h"
 #include "obs/export.h"
 #include "obs/rtrace.h"
+#include "tools/cli_util.h"
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const bool listen = flags.has("--listen");
@@ -105,10 +107,8 @@ int main(int argc, char** argv) {
     }
     std::printf("listening on 127.0.0.1:%u\n",
                 static_cast<unsigned>(server.port()));
-    if (!port_file.empty()) {
-      std::ofstream f(port_file, std::ios::binary);
-      f << server.port() << "\n";
-    }
+    if (!port_file.empty())
+      obs::write_file(port_file, std::to_string(server.port()) + "\n");
     fleet::SocketFleetDriver driver(server, cfg, io_timeout_ms);
     if (!driver.wait_ready(io_timeout_ms)) {
       std::fprintf(stderr,
@@ -161,25 +161,17 @@ int main(int argc, char** argv) {
   }
 
   if (!out_path.empty()) {
-    fleet::write_fleet_json(out_path, report);
+    obs::write_file(out_path, fleet::fleet_report_to_json(report));
     std::printf("fleet report written to %s\n", out_path.c_str());
   }
-  if (!rtrace_path.empty()) {
-    obs::rtrace::write_rtrace_json(rtrace_path, obs::rtrace::trace_log());
-    std::printf("rtrace written to %s\n", rtrace_path.c_str());
-  }
-  if (!rtrace_chrome.empty()) {
-    obs::rtrace::write_rtrace_chrome_json(rtrace_chrome,
-                                          obs::rtrace::trace_log());
-    std::printf("chrome trace written to %s\n", rtrace_chrome.c_str());
-  }
-  if (!flight_path.empty()) {
-    obs::rtrace::write_flight_json(flight_path, obs::rtrace::flight_log());
-    std::printf("flight recorder dumped to %s\n", flight_path.c_str());
-  }
+  tools::write_rtrace_outputs(rtrace_path, rtrace_chrome, flight_path);
   if (!ok) {
     std::fprintf(stderr, "error: socket run failed (see above)\n");
     return 1;
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tools::run_main(run, argc, argv); }

@@ -38,10 +38,13 @@
 #include "obs/export.h"
 #include "obs/rtrace.h"
 #include "serve/engine.h"
+#include "tools/cli_util.h"
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::size_t dims = quick ? 1024 : 2048;
@@ -241,25 +244,18 @@ int main(int argc, char** argv) {
 
   obs_session.set_pool_stats(pool.stats());
   if (!out_path.empty()) {
-    serve::write_serve_json(out_path, report);
+    obs::write_file(out_path, serve::serve_report_to_json(report));
     std::printf("serve report written to %s\n", out_path.c_str());
   }
   if (!lifecycle_out.empty()) {
-    lifecycle::write_lifecycle_json(lifecycle_out, lreport);
+    obs::write_file(lifecycle_out,
+                    lifecycle::lifecycle_report_to_json(lreport));
     std::printf("lifecycle report written to %s\n", lifecycle_out.c_str());
   }
-  if (!rtrace_path.empty()) {
-    obs::rtrace::write_rtrace_json(rtrace_path, obs::rtrace::trace_log());
-    std::printf("rtrace written to %s\n", rtrace_path.c_str());
-  }
-  if (!rtrace_chrome.empty()) {
-    obs::rtrace::write_rtrace_chrome_json(rtrace_chrome,
-                                          obs::rtrace::trace_log());
-    std::printf("rtrace chrome trace written to %s\n", rtrace_chrome.c_str());
-  }
-  if (!flight_path.empty()) {
-    obs::rtrace::write_flight_json(flight_path, obs::rtrace::flight_log());
-    std::printf("flight recorder dumped to %s\n", flight_path.c_str());
-  }
+  tools::write_rtrace_outputs(rtrace_path, rtrace_chrome, flight_path);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tools::run_main(run, argc, argv); }

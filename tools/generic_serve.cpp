@@ -68,10 +68,13 @@
 #include "resilience/encoder_guard.h"
 #include "resilience/fault_model.h"
 #include "serve/engine.h"
+#include "tools/cli_util.h"
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::string name = flags.value("--dataset", "FACE");
@@ -313,21 +316,13 @@ int main(int argc, char** argv) {
 
   obs_session.set_pool_stats(pool.stats());
   if (!out_path.empty()) {
-    serve::write_serve_json(out_path, report);
+    obs::write_file(out_path, serve::serve_report_to_json(report));
     std::printf("report written to %s\n", out_path.c_str());
   }
-  if (!rtrace_path.empty()) {
-    obs::rtrace::write_rtrace_json(rtrace_path, obs::rtrace::trace_log());
-    std::printf("rtrace written to %s\n", rtrace_path.c_str());
-  }
-  if (!rtrace_chrome.empty()) {
-    obs::rtrace::write_rtrace_chrome_json(rtrace_chrome,
-                                          obs::rtrace::trace_log());
-    std::printf("rtrace chrome trace written to %s\n", rtrace_chrome.c_str());
-  }
-  if (!flight_path.empty()) {
-    obs::rtrace::write_flight_json(flight_path, obs::rtrace::flight_log());
-    std::printf("flight recorder dumped to %s\n", flight_path.c_str());
-  }
+  tools::write_rtrace_outputs(rtrace_path, rtrace_chrome, flight_path);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tools::run_main(run, argc, argv); }

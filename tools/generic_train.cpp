@@ -8,8 +8,10 @@
 // CSV format: one row per sample, numeric features, integer class label in
 // the last column (or --label-col). A header line is auto-skipped. The
 // saved model file loads back with generic_infer or model::load_model_file.
+// Flags are strict: an unknown or malformed flag exits 2.
 #include <cstdio>
 
+#include "bench/bench_util.h"
 #include "data/csv.h"
 #include "encoding/encoders.h"
 #include "model/model_io.h"
@@ -19,9 +21,26 @@
 
 using namespace generic;
 
-int main(int argc, char** argv) {
-  const std::string data_path = tools::flag_value(argc, argv, "--data");
-  const std::string model_path = tools::flag_value(argc, argv, "--model");
+namespace {
+
+int run(int argc, char** argv) {
+  bench::Flags flags(argc, argv);
+  const std::string data_path = flags.value("--data", "");
+  const std::string model_path = flags.value("--model", "");
+  const int label_col = static_cast<int>(flags.real("--label-col", -1));
+  const double test_frac = flags.real("--test-frac", 0.25);
+  const auto seed = static_cast<std::uint64_t>(flags.size("--seed", 1));
+  enc::EncoderConfig cfg;
+  cfg.dims = flags.size("--dims", 4096);
+  cfg.levels = flags.size("--levels", 64);
+  cfg.window = flags.size("--window", 3);
+  cfg.use_ids = !flags.has("--no-ids");
+  cfg.seed = seed;
+  const std::size_t epochs = flags.size("--epochs", 20);
+  const std::string trace_path = flags.value("--trace", "");
+  const std::string metrics_path = flags.value("--metrics", "");
+  bench::apply_kernel_backend(flags);
+  flags.done();
   if (data_path.empty() || model_path.empty())
     tools::usage_exit(
         "usage: generic_train --data=train.csv --model=out.ghdc\n"
@@ -29,59 +48,41 @@ int main(int argc, char** argv) {
         "       [--epochs=20] [--test-frac=0.25] [--label-col=-1] [--seed=1]\n"
         "       [--trace=out.json] [--metrics=out.json]\n"
         "       [--kernel-backend=auto|scalar|avx2|avx512|neon]\n");
-  obs::Session obs_session(tools::flag_value(argc, argv, "--trace"),
-                           tools::flag_value(argc, argv, "--metrics"));
-  tools::apply_kernel_backend(argc, argv);
+  obs::Session obs_session(trace_path, metrics_path);
 
-  try {
-    auto samples = data::load_labeled_csv(
-        data_path,
-        static_cast<int>(tools::flag_double(argc, argv, "--label-col", -1)));
-    const double test_frac =
-        tools::flag_double(argc, argv, "--test-frac", 0.25);
-    const auto seed =
-        static_cast<std::uint64_t>(tools::flag_size(argc, argv, "--seed", 1));
-    std::printf("loaded %zu samples, %zu features, %zu classes\n",
-                samples.x.size(), samples.x.front().size(),
-                samples.num_classes);
+  auto samples = data::load_labeled_csv(data_path, label_col);
+  std::printf("loaded %zu samples, %zu features, %zu classes\n",
+              samples.x.size(), samples.x.front().size(), samples.num_classes);
 
-    const auto ds =
-        data::to_dataset("cli", std::move(samples), 1.0 - test_frac, seed);
+  const auto ds =
+      data::to_dataset("cli", std::move(samples), 1.0 - test_frac, seed);
 
-    enc::EncoderConfig cfg;
-    cfg.dims = tools::flag_size(argc, argv, "--dims", 4096);
-    cfg.levels = tools::flag_size(argc, argv, "--levels", 64);
-    cfg.window = tools::flag_size(argc, argv, "--window", 3);
-    cfg.use_ids = !tools::has_flag(argc, argv, "--no-ids");
-    cfg.seed = seed;
+  enc::GenericEncoder encoder(cfg);
+  encoder.fit(ds.train_x);
+  const auto train_hv = model::encode_all(encoder, ds.train_x);
+  model::HdcClassifier clf(cfg.dims, ds.num_classes);
+  clf.fit(train_hv, ds.train_y, epochs);
 
-    enc::GenericEncoder encoder(cfg);
-    encoder.fit(ds.train_x);
-    const auto train_hv = model::encode_all(encoder, ds.train_x);
-    model::HdcClassifier clf(cfg.dims, ds.num_classes);
-    clf.fit(train_hv, ds.train_y,
-            tools::flag_size(argc, argv, "--epochs", 20));
-
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < ds.train_x.size(); ++i)
-      hits += clf.predict(train_hv[i]) == ds.train_y[i];
-    std::printf("train accuracy: %.2f%%\n",
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < ds.train_x.size(); ++i)
+    hits += clf.predict(train_hv[i]) == ds.train_y[i];
+  std::printf("train accuracy: %.2f%%\n",
+              100.0 * static_cast<double>(hits) /
+                  static_cast<double>(ds.train_size()));
+  if (ds.test_size() > 0) {
+    hits = 0;
+    for (std::size_t i = 0; i < ds.test_x.size(); ++i)
+      hits += clf.predict(encoder.encode(ds.test_x[i])) == ds.test_y[i];
+    std::printf("held-out accuracy (%zu samples): %.2f%%\n", ds.test_size(),
                 100.0 * static_cast<double>(hits) /
-                    static_cast<double>(ds.train_size()));
-    if (ds.test_size() > 0) {
-      hits = 0;
-      for (std::size_t i = 0; i < ds.test_x.size(); ++i)
-        hits += clf.predict(encoder.encode(ds.test_x[i])) == ds.test_y[i];
-      std::printf("held-out accuracy (%zu samples): %.2f%%\n", ds.test_size(),
-                  100.0 * static_cast<double>(hits) /
-                      static_cast<double>(ds.test_size()));
-    }
-
-    model::save_model_file(model_path, encoder, clf);
-    std::printf("model written to %s\n", model_path.c_str());
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+                    static_cast<double>(ds.test_size()));
   }
+
+  model::save_model_file(model_path, encoder, clf);
+  std::printf("model written to %s\n", model_path.c_str());
+  return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tools::run_main(run, argc, argv); }
