@@ -1,5 +1,6 @@
-// Shared helpers for the table/figure harnesses: fixed-width table
-// printing and strict flag parsing. Each bench binary regenerates one
+// Shared helpers for the table/figure harnesses and the CLI tools:
+// fixed-width table printing, strict flag parsing and the top-level
+// exception catch of every main. Each bench binary regenerates one
 // table or figure of the paper (see DESIGN.md §2); output is plain text
 // shaped like the paper's rows so runs can be diffed against
 // EXPERIMENTS.md. Wall-clock timing lives in obs::Stopwatch (src/obs).
@@ -12,6 +13,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "hdc/kernels.h"
 #include "obs/obs.h"
@@ -94,11 +96,21 @@ class Flags {
   double real(std::string_view key, double fallback) {
     const std::string v = value(key, "");
     if (v.empty()) return fallback;
-    char* end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-      die("flag '" + std::string(key) + "' needs a number, got '" + v + "'");
-    return x;
+    return to_real(key, v);
+  }
+
+  /// Reals of `--key=X,Y,...`, or an empty list when absent. Every item
+  /// must parse whole, as in real(); an empty item is an error too.
+  std::vector<double> reals(std::string_view key) {
+    const std::string v = value(key, "");
+    std::vector<double> out;
+    if (v.empty()) return out;
+    for (std::size_t begin = 0;;) {
+      const std::size_t comma = v.find(',', begin);
+      out.push_back(to_real(key, v.substr(begin, comma - begin)));
+      if (comma == std::string::npos) return out;
+      begin = comma + 1;
+    }
   }
 
   /// Like real(), but the value must be strictly positive (rates, periods).
@@ -134,6 +146,15 @@ class Flags {
     std::exit(2);
   }
 
+  double to_real(std::string_view key, const std::string& token) const {
+    char* end = nullptr;
+    const double x = std::strtod(token.c_str(), &end);
+    if (end == token.c_str() || *end != '\0')
+      die("flag '" + std::string(key) + "' needs a number, got '" + token +
+          "'");
+    return x;
+  }
+
   static bool is_number(const char* s) {
     if (*s == '\0') return false;
     for (; *s != '\0'; ++s)
@@ -145,6 +166,18 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::set<std::string> requested_;
 };
+
+/// Exit status of `run(argc, argv)`, the body of every bench and tool
+/// main. An exception escaping it, such as a failed report write or an
+/// unreadable input file, prints `error: <what>` and exits 1.
+inline int run_main(int (*run)(int, char**), int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
 
 /// Consume --kernel-backend=<auto|scalar|avx2|avx512|neon> and force the
 /// XOR+popcount kernel backend (hdc/kernels.h) before any hypervector work

@@ -37,7 +37,9 @@
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::string name = flags.value("--dataset", "FACE");
@@ -45,8 +47,7 @@ int main(int argc, char** argv) {
   const std::size_t epochs = quick ? 5 : 20;
   const int bw = static_cast<int>(flags.size("--bw", 8));
   const std::size_t trials = flags.size("--trials", quick ? 3 : 5);
-  const auto seed = static_cast<std::uint64_t>(
-      std::stoull(flags.value("--seed", "64023")));
+  const auto seed = static_cast<std::uint64_t>(flags.size("--seed", 64023));
   const std::string out_path = flags.value("--out", "");
   const std::string target_name = flags.value("--target", "class");
   const bool remat = flags.has("--remat");
@@ -125,3 +126,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

@@ -16,7 +16,9 @@
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags(argc, argv).done();
   std::printf("Figure 10: clustering energy per input (uJ)\n");
   std::printf("%-14s %12s %14s %14s\n", "Dataset", "GENERIC", "K-means(CPU)",
@@ -68,3 +70,7 @@ int main(int argc, char** argv) {
               geomean(rpi_t) / geomean(asic_t));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

@@ -25,9 +25,7 @@ struct Algo {
   double hdc_cost_factor = 1;  // GENERIC windows cost ~n x simpler encodings
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags(argc, argv).done();
   const std::vector<Algo> algos{
       {"rp", true, ml::MlKind::kMlp, 0.4},
@@ -104,3 +102,7 @@ int main(int argc, char** argv) {
       e_gpu / rf_inf, hw::energy_j(hw::edge_gpu(), w_trn) / rf_trn);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

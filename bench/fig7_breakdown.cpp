@@ -31,9 +31,7 @@ void print_breakdown(const char* title, const arch::Breakdown& b,
                 100.0 * row.value / total);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags(argc, argv).done();
   arch::EnergyModel em;
   arch::CycleModel cm;
@@ -73,3 +71,7 @@ int main(int argc, char** argv) {
       static_typical * inv);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

@@ -34,9 +34,7 @@ struct AppResult {
   double dnn_e = 0.0, dnn_t = 0.0, hdc_e = 0.0, hdc_t = 0.0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::size_t threads = flags.threads();
@@ -136,3 +134,7 @@ int main(int argc, char** argv) {
   obs_session.set_pool_stats(pool.stats());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

@@ -45,9 +45,7 @@ struct AppResult {
   std::string line;  ///< buffered per-app report, printed in fixed order
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::size_t threads = flags.threads();
@@ -246,3 +244,7 @@ int main(int argc, char** argv) {
   obs_session.set_hardware(hw_stats);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

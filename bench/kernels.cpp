@@ -10,6 +10,10 @@
 // measured distance is cross-checked against scalar before timing: a
 // backend that is fast but wrong fails loudly here, not in production.
 //
+// The int dot section times one query scored against 21 int32 class rows
+// (the LANG shape the edge_train workload retrains on) through each
+// backend's dot_many, after checking every dot against scalar.
+//
 // The remat section times GenericEncoder encode throughput with stored vs
 // rematerialized level memory and reports both footprints — the
 // Schmuck/Benini/Rahimi memory/recompute trade, quantified.
@@ -22,6 +26,7 @@
 //   kernels.<backend>.blocked_mwords_per_s
 //   kernels.<backend>.nearest_mwords_per_s
 //   kernels.<backend>.nearest_speedup_milli   (1000 = scalar parity)
+//   kernels.<backend>.int_dot_many_ns         (ns per 21-row scan)
 //   remat.encode_stored_ns_per_sample / remat.encode_remat_ns_per_sample
 //   remat.recompute_overhead_milli
 //   remat.footprint.stored_payload_bytes / remat.footprint.remat_payload_bytes
@@ -69,6 +74,58 @@ Workload make_workload(std::size_t dims, std::size_t classes,
 template <typename F>
 double measure_mwords(F&& body, double words_per_rep, double target_s) {
   return words_per_rep / bench::seconds_per_call(body, target_s) / 1e6;
+}
+
+/// Rows in the int dot section: the 21 classes of the LANG clone.
+constexpr std::size_t kDotRows = 21;
+
+/// Time dot_many of one int query against kDotRows class rows on every
+/// available backend, after checking each backend's dots against scalar.
+/// Returns false when a backend diverges.
+bool run_int_dot(std::size_t dims, double target_s) {
+  Rng rng(0xD07);
+  hdc::IntHV query(dims);
+  for (auto& v : query) v = static_cast<std::int32_t>(rng.range(-128, 128));
+  std::vector<hdc::IntHV> store(kDotRows, hdc::IntHV(dims));
+  std::vector<const std::int32_t*> rows;
+  for (auto& row : store) {
+    for (auto& v : row) v = static_cast<std::int32_t>(rng.range(-30000, 30000));
+    rows.push_back(row.data());
+  }
+  auto scan = [&](const k::Kernels& table) {
+    std::vector<std::int64_t> dots(kDotRows, 0);
+    table.dot_many(query.data(), rows.data(), kDotRows, dims, dots.data());
+    return dots;
+  };
+  const auto want = scan(k::get(k::Backend::kScalar));
+
+  std::printf("\nint dot: %zu rows x %zu dims per scan\n", kDotRows, dims);
+  std::printf("%-8s %16s %10s\n", "backend", "ns/scan", "speedup");
+  bench::print_rule(36);
+  double scalar_ns = 0.0;
+  for (k::Backend backend : k::compiled_backends()) {
+    if (!k::available(backend)) continue;
+    const k::Kernels& table = k::get(backend);
+    const std::string name(k::to_string(backend));
+    if (scan(table) != want) {
+      std::fprintf(stderr, "%s: int dot diverged from scalar\n", name.c_str());
+      return false;
+    }
+    std::vector<std::int64_t> dots(kDotRows, 0);
+    const double ns = bench::seconds_per_call(
+                          [&] {
+                            table.dot_many(query.data(), rows.data(), kDotRows,
+                                           dims, dots.data());
+                            bench::keep(dots.data());
+                          },
+                          target_s) *
+                      1e9;
+    if (backend == k::Backend::kScalar) scalar_ns = ns;
+    std::printf("%-8s %16.1f %9.2fx\n", name.c_str(), ns,
+                ns > 0 ? scalar_ns / ns : 0.0);
+    bench::set_gauge("kernels." + name + ".int_dot_many_ns", ns);
+  }
+  return true;
 }
 
 /// Time one primitive: print its ns per call and record the
@@ -142,9 +199,7 @@ void run_primitives(double target_s) {
             [&] { bench::keep(fast.predict_packed(q)); }, target_s);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::size_t dims = flags.size("--dims", 4096);
@@ -214,6 +269,8 @@ int main(int argc, char** argv) {
     bench::set_gauge(prefix + ".nearest_speedup_milli", speedup * 1000.0);
   }
 
+  if (!run_int_dot(dims, target_s)) return 1;
+
   // ---- stored vs rematerialized memories ---------------------------------
   Rng rng(0x5A17);
   const std::size_t features = 32;
@@ -264,3 +321,7 @@ int main(int argc, char** argv) {
   run_primitives(target_s);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

@@ -34,9 +34,7 @@ double measure_ns(F&& body, double events_per_rep, double target_s) {
   return bench::seconds_per_call(body, target_s) * 1e9 / events_per_rep;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::size_t events = flags.positive_size("--events", 4096);
@@ -97,3 +95,7 @@ int main(int argc, char** argv) {
   bench::set_gauge("obs.rtrace.events_per_rep", per_rep);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

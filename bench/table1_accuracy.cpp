@@ -46,9 +46,7 @@ struct RowResult {
   std::string line;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const bool hdc_only = flags.has("--hdc-only");
@@ -160,3 +158,7 @@ int main(int argc, char** argv) {
   obs_session.set_pool_stats(pool.stats());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

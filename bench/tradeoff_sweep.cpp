@@ -41,9 +41,7 @@ struct SweepRow {
   double latency_s = 0.0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::string csv = flags.value("--datasets", "");
@@ -210,3 +208,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hdc/kernels.h"
+
 namespace generic::hdc {
 
 BinaryHV BinaryHV::random(std::size_t dims, Rng& rng) {
@@ -108,6 +110,15 @@ IntHV BinaryHV::to_int() const {
   IntHV out(dims_, 0);
   accumulate_into(out, +1);
   return out;
+}
+
+std::int64_t dot(std::span<const std::int32_t> a,
+                 std::span<const std::int32_t> b) {
+  if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
+  const std::int32_t* row = b.data();
+  std::int64_t acc = 0;
+  kernels::active().dot_many(a.data(), &row, 1, a.size(), &acc);
+  return acc;
 }
 
 std::int64_t dot(const IntHV& a, const BinaryHV& b) {

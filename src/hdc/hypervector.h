@@ -92,17 +92,13 @@ class BinaryHV {
 void xor_rotated_into(BinaryHV& dst, const BinaryHV& src, std::size_t k);
 
 /// Dot product of two equal-length int spans (checked): whole bundled
-/// hypervectors, or matching slices of them such as the chunk runs the
-/// classifier scores. Inline so each call site vectorizes like a
-/// hand-written loop.
-inline std::int64_t dot(std::span<const std::int32_t> a,
-                        std::span<const std::int32_t> b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    acc += static_cast<std::int64_t>(a[i]) * b[i];
-  return acc;
-}
+/// hypervectors, or matching slices of them. A one-row call into the
+/// active kernel table's dot_many (hdc/kernels.h), so every int dot runs
+/// the backend's tuned loop and is exact on every backend. Scoring many
+/// rows against one query should call dot_many directly, as
+/// HdcClassifier does, to share each query load across rows.
+std::int64_t dot(std::span<const std::int32_t> a,
+                 std::span<const std::int32_t> b);
 
 /// Dot product of a bundled hypervector with a binary hypervector's
 /// bipolar expansion, without materializing the expansion.

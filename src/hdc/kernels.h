@@ -1,17 +1,22 @@
-// Runtime-dispatched XOR+popcount kernels — the one place every binary
-// similarity search bottoms out (docs/kernels.md).
+// Runtime-dispatched similarity kernels — the one place every binary
+// similarity search and every int dot product bottoms out
+// (docs/kernels.md).
 //
-// The blocked scalar kernels in hdc/ops.h are exact integer reductions, so
-// any backend that computes the same sums is bit-identical by construction:
-// vectorization here can never disturb the determinism contract of
-// docs/parallelism.md. What the dispatch layer adds is the choice of HOW
-// the popcounts are computed:
+// Both kinds are exact integer reductions (sums of popcounts; sums of
+// int32 x int32 products widened to int64), so any backend that computes
+// the same sums is bit-identical by construction: vectorization here can
+// never disturb the determinism contract of docs/parallelism.md. What the
+// dispatch layer adds is the choice of HOW the sums are computed:
 //
-//   scalar  portable reference: 4-way unrolled hardware popcount, compiled
-//           with vectorization disabled so it stays the honest baseline
-//   avx2    pshufb nibble-lookup popcount, 8-bit lane accumulation (x86)
-//   avx512  vpopcntq over 512-bit lanes, 2-row interleave (x86 + VPOPCNTDQ)
-//   neon    vcnt + widening pairwise accumulation (aarch64)
+//   scalar  portable reference: unrolled hardware popcount and a plain
+//           multiply-add loop, compiled with vectorization disabled so it
+//           stays the honest baseline
+//   avx2    pshufb nibble-lookup popcount, 8-bit lane accumulation;
+//           vpmuldq even/odd-lane int dot, 4-row tiles (x86)
+//   avx512  vpopcntq over 512-bit lanes, 2-row interleave; vpmuldq int
+//           dot over 8-row tiles (x86 + VPOPCNTDQ)
+//   neon    vcnt + widening pairwise accumulation; vmlal_s32 int dot
+//           (aarch64)
 //
 // Selection is runtime CPU-feature detection ("auto" picks the best
 // available), overridable by the GENERIC_KERNEL_BACKEND environment
@@ -20,8 +25,9 @@
 // a clear error rather than silently falling back.
 //
 // Every backend must be byte-identical to scalar — same distances, same
-// argmin winners — which tests/hdc/kernel_equivalence_test.cpp asserts for
-// every compiled backend across ragged dimension sweeps.
+// dot products, same argmin winners — which
+// tests/hdc/kernel_equivalence_test.cpp asserts for every compiled backend
+// across ragged dimension sweeps.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +45,8 @@ enum class Backend {
   kNeon,
 };
 
-/// The dispatch table one backend fills in. Both entry points are exact:
-/// they return the same integers the scalar reference computes.
+/// The dispatch table one backend fills in. Every entry point is exact:
+/// it returns the same integers the scalar reference computes.
 struct Kernels {
   Backend backend = Backend::kScalar;
   const char* name = "scalar";
@@ -55,6 +61,16 @@ struct Kernels {
   void (*xor_popcount_many)(const std::uint64_t* q,
                             const std::uint64_t* const* refs, std::size_t rows,
                             std::size_t words, std::size_t* out) = nullptr;
+
+  /// out[r] += sum of (int64)q[i] * rows[r][i] over `n` elements for each
+  /// of `nrows` rows — every int dot product: class scoring, clustering
+  /// and the ASIC model's exact path. Each product is exact in int64 and
+  /// sums wrap modulo 2^64 on every backend, so backends agree bit for
+  /// bit whatever their summation order. Shaped like xor_popcount_many so
+  /// a backend loads each query block once per tile of rows.
+  void (*dot_many)(const std::int32_t* q, const std::int32_t* const* rows,
+                   std::size_t nrows, std::size_t n,
+                   std::int64_t* out) = nullptr;
 };
 
 /// Canonical lower-case name: "scalar", "avx2", "avx512", "neon".

@@ -1,10 +1,16 @@
-// AVX2 backend: Muła pshufb nibble-lookup popcount.
+// AVX2 backend: Muła pshufb nibble-lookup popcount and a vpmuldq int dot.
 //
 // Each 256-bit lane of a ^ b is split into nibbles, counted through a
 // 16-entry shuffle table, and accumulated in 8-bit lanes. Blocks are capped
 // at 28 vectors (28 * 8 = 224 < 255) so the u8 lanes cannot saturate before
 // the _mm256_sad_epu8 fold widens them to u64. All sums are exact integers,
 // so the result is bit-identical to the scalar reference by construction.
+//
+// The int dot multiplies the even int32 lanes of query and row with
+// _mm256_mul_epi32 (vpmuldq: signed 32 x 32 -> 64), shifts both down by 32
+// bits to multiply the odd lanes the same way, and adds the exact int64
+// products into one accumulator per row. A tile of four rows shares each
+// query load and its shift.
 //
 // This TU is compiled with -mavx2 (see src/hdc/CMakeLists.txt); dispatch
 // guarantees it only runs after __builtin_cpu_supports("avx2") passed.
@@ -132,11 +138,48 @@ void avx2_xor_popcount_many(const std::uint64_t* q,
   for (; r < rows; ++r) out[r] += avx2_xor_popcount(q, refs[r], words);
 }
 
+template <std::size_t R>
+void avx2_dot_tile(const std::int32_t* q, const std::int32_t* const* rows,
+                   std::size_t n, std::int64_t* out) {
+  const std::int32_t* c[R];
+  __m256i acc[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    c[r] = rows[r];
+    acc[r] = _mm256_setzero_si256();
+  }
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i vq =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
+    const __m256i vq_odd = _mm256_srli_epi64(vq, 32);
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256i vc =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c[r] + i));
+      const __m256i even = _mm256_mul_epi32(vq, vc);
+      const __m256i odd = _mm256_mul_epi32(vq_odd, _mm256_srli_epi64(vc, 32));
+      acc[r] = _mm256_add_epi64(acc[r], _mm256_add_epi64(even, odd));
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    std::uint64_t s = static_cast<std::uint64_t>(out[r]) + fold_u64(acc[r]);
+    for (std::size_t j = i; j < n; ++j)
+      s += static_cast<std::uint64_t>(std::int64_t{q[j]} * c[r][j]);
+    out[r] = static_cast<std::int64_t>(s);
+  }
+}
+
+void avx2_dot_many(const std::int32_t* q, const std::int32_t* const* rows,
+                   std::size_t nrows, std::size_t n, std::int64_t* out) {
+  row_tiles<4>(nrows, [&](auto tile, std::size_t r) {
+    avx2_dot_tile<decltype(tile)::value>(q, rows + r, n, out + r);
+  });
+}
+
 }  // namespace
 
 const Kernels& avx2_table() {
   static const Kernels k{Backend::kAvx2, "avx2", &avx2_xor_popcount,
-                         &avx2_xor_popcount_many};
+                         &avx2_xor_popcount_many, &avx2_dot_many};
   return k;
 }
 

@@ -1,4 +1,5 @@
-// AVX-512 backend: native vpopcntq over 512-bit lanes.
+// AVX-512 backend: native vpopcntq over 512-bit lanes, and a vpmuldq int
+// dot.
 //
 // Requires AVX512F + AVX512VPOPCNTDQ (Ice Lake and later; dispatch checks
 // both at runtime). The many-rows kernel interleaves two reference rows per
@@ -6,6 +7,13 @@
 // chains — that, not the popcount itself, is where the wins over scalar
 // come from at typical 64-word (4096-dim) rows. Exact integer sums, so
 // bit-identical to the scalar reference by construction.
+//
+// The int dot uses _mm512_mul_epi32 (vpmuldq: signed 32 x 32 -> 64) on the
+// even int32 lanes, and again on the odd lanes after a 32-bit shift, so
+// every product is exact in an int64 lane. Each query block is loaded and
+// shifted once and reused across a tile of eight rows (about 10% faster
+// than four on a 21-row, 4096-dim scan, which streams from L2); the
+// ragged tail is a masked load, whose zeroed lanes add nothing.
 //
 // This TU is compiled with -mavx512f -mavx512vpopcntdq (see
 // src/hdc/CMakeLists.txt).
@@ -80,11 +88,67 @@ void avx512_xor_popcount_many(const std::uint64_t* q,
   for (; r < rows; ++r) out[r] += avx512_xor_popcount(q, refs[r], words);
 }
 
+/// Sum of the eight int64 lanes, wrapping modulo 2^64 like the lanes
+/// themselves. (_mm512_reduce_add_epi64 ends in a signed scalar add, which
+/// is undefined behaviour when the lane sums wrap.)
+inline std::uint64_t fold_u64(__m512i v) {
+  const __m256i half = _mm256_add_epi64(_mm512_castsi512_si256(v),
+                                        _mm512_extracti64x4_epi64(v, 1));
+  const __m128i quarter = _mm_add_epi64(_mm256_castsi256_si128(half),
+                                        _mm256_extracti128_si256(half, 1));
+  return static_cast<std::uint64_t>(_mm_cvtsi128_si64(quarter)) +
+         static_cast<std::uint64_t>(_mm_extract_epi64(quarter, 1));
+}
+
+/// acc + q[even] * c[even] + q[odd] * c[odd], as exact int64 lanes.
+inline __m512i madd_epi32(__m512i acc, __m512i vq, __m512i vq_odd,
+                          __m512i vc) {
+  const __m512i even = _mm512_mul_epi32(vq, vc);
+  const __m512i odd = _mm512_mul_epi32(vq_odd, _mm512_srli_epi64(vc, 32));
+  return _mm512_add_epi64(acc, _mm512_add_epi64(even, odd));
+}
+
+template <std::size_t R>
+void avx512_dot_tile(const std::int32_t* q, const std::int32_t* const* rows,
+                     std::size_t n, std::int64_t* out) {
+  const std::int32_t* c[R];
+  __m512i acc[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    c[r] = rows[r];
+    acc[r] = _mm512_setzero_si512();
+  }
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i vq = _mm512_loadu_si512(q + i);
+    const __m512i vq_odd = _mm512_srli_epi64(vq, 32);
+    for (std::size_t r = 0; r < R; ++r)
+      acc[r] = madd_epi32(acc[r], vq, vq_odd, _mm512_loadu_si512(c[r] + i));
+  }
+  if (i < n) {
+    const auto m = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512i vq = _mm512_maskz_loadu_epi32(m, q + i);
+    const __m512i vq_odd = _mm512_srli_epi64(vq, 32);
+    for (std::size_t r = 0; r < R; ++r)
+      acc[r] = madd_epi32(acc[r], vq, vq_odd,
+                          _mm512_maskz_loadu_epi32(m, c[r] + i));
+  }
+  for (std::size_t r = 0; r < R; ++r)
+    out[r] = static_cast<std::int64_t>(static_cast<std::uint64_t>(out[r]) +
+                                       fold_u64(acc[r]));
+}
+
+void avx512_dot_many(const std::int32_t* q, const std::int32_t* const* rows,
+                     std::size_t nrows, std::size_t n, std::int64_t* out) {
+  row_tiles<8>(nrows, [&](auto tile, std::size_t r) {
+    avx512_dot_tile<decltype(tile)::value>(q, rows + r, n, out + r);
+  });
+}
+
 }  // namespace
 
 const Kernels& avx512_table() {
   static const Kernels k{Backend::kAvx512, "avx512", &avx512_xor_popcount,
-                         &avx512_xor_popcount_many};
+                         &avx512_xor_popcount_many, &avx512_dot_many};
   return k;
 }
 

@@ -1,10 +1,15 @@
-// NEON backend (aarch64): vcnt per-byte popcount + widening horizontal add.
+// NEON backend (aarch64): vcnt per-byte popcount + widening horizontal add,
+// and a vmlal_s32 int dot.
 //
 // NEON is baseline on aarch64, so no runtime CPU check is needed — only the
 // compile-time gate. vaddlvq_u8 folds the 16 per-byte counts of each
 // 128-bit XOR into one u16 (max 128, no saturation possible), keeping the
 // kernel simple and exactly equal to the scalar reference. The many-rows
 // kernel shares each query load across two rows.
+//
+// The int dot widens with vmlal_s32 / vmlal_high_s32 (signed 32 x 32 -> 64
+// multiply-accumulate), so every product is exact in an int64 lane; a tile
+// of four rows shares each query load.
 #include "hdc/kernels_detail.h"
 
 #if defined(GENERIC_KERNELS_HAVE_NEON)
@@ -62,11 +67,45 @@ void neon_xor_popcount_many(const std::uint64_t* q,
   for (; r < rows; ++r) out[r] += neon_xor_popcount(q, refs[r], words);
 }
 
+template <std::size_t R>
+void neon_dot_tile(const std::int32_t* q, const std::int32_t* const* rows,
+                   std::size_t n, std::int64_t* out) {
+  const std::int32_t* c[R];
+  int64x2_t acc[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    c[r] = rows[r];
+    acc[r] = vdupq_n_s64(0);
+  }
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const int32x4_t vq = vld1q_s32(q + i);
+    for (std::size_t r = 0; r < R; ++r) {
+      const int32x4_t vc = vld1q_s32(c[r] + i);
+      acc[r] = vmlal_s32(acc[r], vget_low_s32(vq), vget_low_s32(vc));
+      acc[r] = vmlal_high_s32(acc[r], vq, vc);
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    std::uint64_t s = static_cast<std::uint64_t>(out[r]) +
+                      vaddvq_u64(vreinterpretq_u64_s64(acc[r]));
+    for (std::size_t j = i; j < n; ++j)
+      s += static_cast<std::uint64_t>(std::int64_t{q[j]} * c[r][j]);
+    out[r] = static_cast<std::int64_t>(s);
+  }
+}
+
+void neon_dot_many(const std::int32_t* q, const std::int32_t* const* rows,
+                   std::size_t nrows, std::size_t n, std::int64_t* out) {
+  row_tiles<4>(nrows, [&](auto tile, std::size_t r) {
+    neon_dot_tile<decltype(tile)::value>(q, rows + r, n, out + r);
+  });
+}
+
 }  // namespace
 
 const Kernels& neon_table() {
   static const Kernels k{Backend::kNeon, "neon", &neon_xor_popcount,
-                         &neon_xor_popcount_many};
+                         &neon_xor_popcount_many, &neon_dot_many};
   return k;
 }
 

@@ -6,7 +6,7 @@
 // "scalar" silently depend on the build machine and turn every
 // scalar-vs-SIMD benchmark into a lie. Disabling vectorization keeps it the
 // honest portable baseline: 4-way unrolled hardware popcount, one word at a
-// time.
+// time, and one int32 x int32 -> int64 multiply-add per element.
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -41,11 +41,23 @@ void scalar_xor_popcount_many(const std::uint64_t* q,
     out[r] += scalar_xor_popcount(q, refs[r], words);
 }
 
+void scalar_dot_many(const std::int32_t* q, const std::int32_t* const* rows,
+                     std::size_t nrows, std::size_t n, std::int64_t* out) {
+  for (std::size_t r = 0; r < nrows; ++r) {
+    // Unsigned sums wrap modulo 2^64 with defined behaviour, exactly as
+    // the SIMD backends' int64 lanes do.
+    std::uint64_t s = static_cast<std::uint64_t>(out[r]);
+    for (std::size_t i = 0; i < n; ++i)
+      s += static_cast<std::uint64_t>(std::int64_t{q[i]} * rows[r][i]);
+    out[r] = static_cast<std::int64_t>(s);
+  }
+}
+
 }  // namespace
 
 const Kernels& scalar_table() {
   static const Kernels k{Backend::kScalar, "scalar", &scalar_xor_popcount,
-                         &scalar_xor_popcount_many};
+                         &scalar_xor_popcount_many, &scalar_dot_many};
   return k;
 }
 

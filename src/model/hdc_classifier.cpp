@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "hdc/kernels.h"
 #include "obs/obs.h"
 
 namespace generic::model {
@@ -183,9 +184,8 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
     // indexed scores then reproduces the serial scan bit-for-bit.
     pool.parallel_for(num_classes_,
                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                        for (std::size_t c = begin; c < end; ++c)
-                          scores[c] = score_runs(encoded[i], c, runs,
-                                                 NormMode::kUpdated);
+                        score_classes(encoded[i], begin, end, runs,
+                                      NormMode::kUpdated, &scores[begin]);
                       });
     const int pred =
         argmax_with_margin(num_classes_, [&](std::size_t c) {
@@ -257,7 +257,9 @@ double HdcClassifier::score(const hdc::IntHV& query, std::size_t cls,
   const auto runs = select(dims_used, chunk_ok);
   check_query(query);
   if (cls >= num_classes_) throw std::out_of_range("score: class index");
-  return score_runs(query, cls, runs, mode);
+  double s = 0.0;
+  score_classes(query, cls, cls + 1, runs, mode, &s);
+  return s;
 }
 
 std::vector<HdcClassifier::ChunkRun> HdcClassifier::select(
@@ -285,35 +287,63 @@ void HdcClassifier::check_query(const hdc::IntHV& query) const {
     throw std::invalid_argument("HdcClassifier: query dimension mismatch");
 }
 
-double HdcClassifier::score_runs(const hdc::IntHV& query, std::size_t cls,
-                                 std::span<const ChunkRun> runs,
-                                 NormMode mode) const {
-  const std::span<const std::int32_t> q(query);
-  const std::span<const std::int32_t> c(classes_[cls]);
-  const std::span<const std::int64_t> norms(chunk_norms_[cls]);
+namespace {
+
+/// Classes scored per dot_many pass. The row pointers, dots and scores of
+/// one tile live on the stack, so a scan never allocates.
+constexpr std::size_t kClassTile = 32;
+
+}  // namespace
+
+void HdcClassifier::score_classes(const hdc::IntHV& query, std::size_t first,
+                                  std::size_t last,
+                                  std::span<const ChunkRun> runs,
+                                  NormMode mode, double* out) const {
+  const hdc::kernels::Kernels& kernels = hdc::kernels::active();
   auto sum = [](std::span<const std::int64_t> v) {
     return std::accumulate(v.begin(), v.end(), std::int64_t{0});
   };
-  std::int64_t dot = 0;
-  std::int64_t n2 = mode == NormMode::kConstant ? sum(norms) : 0;
-  for (const ChunkRun& r : runs) {
-    const std::size_t lo = r.begin * chunk_;
-    const std::size_t len = (r.end - r.begin) * chunk_;
-    dot += hdc::dot(q.subspan(lo, len), c.subspan(lo, len));
-    if (mode == NormMode::kUpdated)
-      n2 += sum(norms.subspan(r.begin, r.end - r.begin));
+  const std::int32_t* rows[kClassTile] = {};
+  std::int64_t dots[kClassTile] = {};
+  for (std::size_t t = first; t < last; t += kClassTile) {
+    const std::size_t nt = std::min(kClassTile, last - t);
+    std::fill_n(dots, nt, std::int64_t{0});
+    for (const ChunkRun& r : runs) {
+      const std::size_t lo = r.begin * chunk_;
+      for (std::size_t j = 0; j < nt; ++j)
+        rows[j] = classes_[t + j].data() + lo;
+      kernels.dot_many(query.data() + lo, rows, nt, (r.end - r.begin) * chunk_,
+                       dots);
+    }
+    for (std::size_t j = 0; j < nt; ++j) {
+      const std::span<const std::int64_t> norms(chunk_norms_[t + j]);
+      std::int64_t n2 = 0;
+      if (mode == NormMode::kConstant)
+        n2 = sum(norms);
+      else
+        for (const ChunkRun& r : runs)
+          n2 += sum(norms.subspan(r.begin, r.end - r.begin));
+      const std::int64_t dot = dots[j];
+      out[t - first + j] =
+          n2 == 0 ? 0.0
+                  : static_cast<double>(dot) *
+                        static_cast<double>(std::abs(dot)) /
+                        static_cast<double>(n2);
+    }
   }
-  if (n2 == 0) return 0.0;
-  const double num =
-      static_cast<double>(dot) * static_cast<double>(std::abs(dot));
-  return num / static_cast<double>(n2);
 }
 
 Prediction HdcClassifier::scan(const hdc::IntHV& query,
                                std::span<const ChunkRun> runs,
                                NormMode mode) const {
+  // argmax_with_margin asks for the classes in order; score one tile of
+  // them whenever it reaches the tile's first class.
+  double tile[kClassTile] = {};
   return argmax_with_margin(num_classes_, [&](std::size_t c) {
-    return score_runs(query, c, runs, mode);
+    if (c % kClassTile == 0)
+      score_classes(query, c, std::min(c + kClassTile, num_classes_), runs,
+                    mode, tile);
+    return tile[c % kClassTile];
   });
 }
 

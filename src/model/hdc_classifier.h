@@ -196,11 +196,15 @@ class HdcClassifier {
   std::vector<ChunkRun> select(std::size_t dims_used,
                                const std::vector<bool>& chunk_ok) const;
   void check_query(const hdc::IntHV& query) const;
-  /// Score of class `cls` over `runs`: one integer dot and one sub-norm
-  /// sum per run. Inputs are validated by the caller.
-  double score_runs(const hdc::IntHV& query, std::size_t cls,
-                    std::span<const ChunkRun> runs, NormMode mode) const;
-  /// The one prediction scan: score_runs per class, fixed-order argmax.
+  /// The one scorer: scores of classes [first, last) over `runs` into
+  /// out[0, last - first). Per tile of classes, each run is one kernels
+  /// dot_many call over every class in the tile, then each class sums its
+  /// sub-norms. Allocates nothing. Inputs are validated by the caller.
+  void score_classes(const hdc::IntHV& query, std::size_t first,
+                     std::size_t last, std::span<const ChunkRun> runs,
+                     NormMode mode, double* out) const;
+  /// The one prediction scan: score_classes over every class, fixed-order
+  /// argmax.
   Prediction scan(const hdc::IntHV& query, std::span<const ChunkRun> runs,
                   NormMode mode) const;
 

@@ -72,6 +72,27 @@ TEST(FlagsDeathTest, RealRejectsTrailingGarbage) {
       ::testing::ExitedWithCode(2), "needs a number");
 }
 
+TEST(FlagsDeathTest, RealsRejectTrailingGarbageInAnItem) {
+  EXPECT_EXIT(
+      {
+        Flags f = make_flags({"--fault-rates=0,1e-3x"});
+        (void)f.reals("--fault-rates");
+      },
+      ::testing::ExitedWithCode(2), "needs a number, got '1e-3x'");
+}
+
+TEST(FlagsDeathTest, RealsRejectAnEmptyItem) {
+  for (const char* spelling :
+       {"--fault-rates=0,,1e-3", "--fault-rates=0,", "--fault-rates=,0"})
+    EXPECT_EXIT(
+        {
+          Flags f = make_flags({spelling});
+          (void)f.reals("--fault-rates");
+        },
+        ::testing::ExitedWithCode(2), "needs a number, got ''")
+        << spelling;
+}
+
 TEST(FlagsDeathTest, UnknownFlagStillDiesAtDone) {
   EXPECT_EXIT(
       {
@@ -90,6 +111,13 @@ TEST(FlagsTest, AccessorsPassThroughValidValues) {
   // "disabled" stay expressible.
   EXPECT_DOUBLE_EQ(f.real("--fault-rate", 0.0), -0.25);
   EXPECT_DOUBLE_EQ(f.real("--severity", 0.0), 1e-3);
+  f.done();
+}
+
+TEST(FlagsTest, RealsSplitOnCommas) {
+  Flags f = make_flags({"--fault-rates=0,1e-4,0.05"});
+  EXPECT_EQ(f.reals("--fault-rates"), (std::vector<double>{0.0, 1e-4, 0.05}));
+  EXPECT_TRUE(f.reals("--absent").empty());
   f.done();
 }
 

@@ -1,10 +1,12 @@
-// Differential equivalence suite for the runtime-dispatched XOR+popcount
-// kernels (hdc/kernels.h): every compiled backend must be BYTE-IDENTICAL to
-// the scalar reference — same raw span sums, same hamming_many orders, same
-// nearest_hamming winners including ties — across ragged dimension sweeps.
+// Differential equivalence suite for the runtime-dispatched kernels
+// (hdc/kernels.h): every compiled backend must be BYTE-IDENTICAL to the
+// scalar reference — same raw span sums, same hamming_many orders, same
+// nearest_hamming winners including ties, same int dot products — across
+// ragged dimension sweeps.
 // This is the contract that lets golden `generic.*.v1` fixtures stay
 // byte-stable no matter which backend dispatch picks (docs/kernels.md).
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -47,6 +49,49 @@ std::vector<k::Backend> simd_backends() {
     if (b != k::Backend::kScalar && k::available(b)) out.push_back(b);
   return out;
 }
+
+std::vector<k::Backend> all_backends() {
+  std::vector<k::Backend> out;
+  for (k::Backend b : k::compiled_backends())
+    if (k::available(b)) out.push_back(b);
+  return out;
+}
+
+using IntRows = std::vector<std::vector<std::int32_t>>;
+
+/// Exact reference for dot_many: a plain loop with a 128-bit accumulator,
+/// which cannot wrap. Callers pick inputs whose exact sums fit in int64.
+std::int64_t naive_dot(const std::vector<std::int32_t>& q,
+                       const std::vector<std::int32_t>& row) {
+  __int128 s = 0;
+  for (std::size_t i = 0; i < q.size(); ++i)
+    s += static_cast<__int128>(q[i]) * row[i];
+  EXPECT_EQ(static_cast<__int128>(static_cast<std::int64_t>(s)), s)
+      << "test input overflows int64";
+  return static_cast<std::int64_t>(s);
+}
+
+/// out[r] = seed[r] + dot(q, rows[r]) through one backend's dot_many.
+std::vector<std::int64_t> run_dot_many(const k::Kernels& table,
+                                       const std::vector<std::int32_t>& q,
+                                       const IntRows& rows,
+                                       std::vector<std::int64_t> out) {
+  std::vector<const std::int32_t*> ptrs;
+  for (const auto& row : rows) ptrs.push_back(row.data());
+  table.dot_many(q.data(), ptrs.data(), rows.size(), q.size(), out.data());
+  return out;
+}
+
+std::vector<std::int32_t> random_ints(std::size_t n, Rng& rng, int span) {
+  std::vector<std::int32_t> v(n);
+  for (auto& x : v) x = static_cast<std::int32_t>(rng.range(-span, span));
+  return v;
+}
+
+/// The lengths the int dot sweeps: empty, shorter than one vector, one
+/// vector on either side of the 8/16-lane blocks, and whole hypervectors.
+const std::vector<std::size_t> kDotLengths = {0,   1,   7,    15,  16,
+                                              17,  127, 128,  4095, 4096};
 
 TEST(KernelEquivalence, RawSpanSumsMatchScalarForRaggedLengths) {
   const k::Kernels& scalar = k::get(k::Backend::kScalar);
@@ -180,6 +225,124 @@ TEST(KernelEquivalence, TiesResolveToLowestIndexOnEveryBackend) {
   }
 }
 
+// ---- Int dot (dot_many) ---------------------------------------------------
+
+TEST(KernelEquivalence, DotManyMatchesNaiveForRaggedLengthsAndRowCounts) {
+  Rng rng(0xD07D07);
+  for (std::size_t n : kDotLengths) {
+    for (std::size_t nrows = 0; nrows <= 9; ++nrows) {
+      const auto q = random_ints(n, rng, 100000);
+      IntRows rows;
+      for (std::size_t r = 0; r < nrows; ++r)
+        rows.push_back(random_ints(n, rng, 100000));
+      std::vector<std::int64_t> want(nrows);
+      for (std::size_t r = 0; r < nrows; ++r) want[r] = naive_dot(q, rows[r]);
+      for (k::Backend b : all_backends())
+        EXPECT_EQ(run_dot_many(k::get(b), q, rows,
+                               std::vector<std::int64_t>(nrows, 0)),
+                  want)
+            << k::to_string(b) << " n=" << n << " nrows=" << nrows;
+    }
+  }
+}
+
+TEST(KernelEquivalence, DotManyIsExactAtInt32Extremes) {
+  // Each query element i in the first half of a group of 2P is paired with
+  // i + P: q holds (a, a') with a + a' in {0, -1}, and each row repeats one
+  // extreme value b on both, so a pair adds (a + a') * b, at most 2^31 in
+  // magnitude, and the exact total fits in int64 at every length. Single
+  // products reach 2^62 and P = 8 puts a pair's halves in different SIMD
+  // lanes or blocks, so partial sums run far past int64 on every backend
+  // and must wrap back to the exact total. Unpaired tail elements are small.
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const std::int32_t kFirst[] = {kMin, kMax, kMin + 1, -7, 0};
+  const std::int32_t kRowValues[] = {kMin, kMax, -1, 1};
+  Rng rng(0xE87);
+  for (std::size_t pair : {std::size_t{1}, std::size_t{8}}) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                          std::size_t{16}, std::size_t{17}, std::size_t{33},
+                          std::size_t{128}, std::size_t{4095},
+                          std::size_t{4096}}) {
+      auto partner = [&](std::size_t i) {
+        return i % (2 * pair) < pair ? i + pair : n;  // n: none
+      };
+      std::vector<std::int32_t> q(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i % (2 * pair) >= pair) continue;  // set with its partner
+        if (partner(i) >= n) {
+          q[i] = static_cast<std::int32_t>(rng.range(-7, 7));
+          continue;
+        }
+        const std::int32_t a = kFirst[rng.below(5)];
+        q[i] = a;
+        q[partner(i)] = a == kMin ? kMax : -a;
+      }
+      for (std::size_t nrows = 1; nrows <= 9; ++nrows) {
+        IntRows rows(nrows, std::vector<std::int32_t>(n));
+        for (auto& row : rows)
+          for (std::size_t i = 0; i < n; ++i) {
+            if (i % (2 * pair) >= pair) continue;
+            row[i] = kRowValues[rng.below(4)];
+            if (partner(i) < n) row[partner(i)] = row[i];
+          }
+        std::vector<std::int64_t> want(nrows);
+        for (std::size_t r = 0; r < nrows; ++r)
+          want[r] = naive_dot(q, rows[r]);
+        for (k::Backend b : all_backends())
+          EXPECT_EQ(run_dot_many(k::get(b), q, rows,
+                                 std::vector<std::int64_t>(nrows, 0)),
+                    want)
+              << k::to_string(b) << " pair=" << pair << " n=" << n
+              << " nrows=" << nrows;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, DotManyAccumulatesIntoOut) {
+  // The contract is out[r] += dot: a backend that assigns instead, or
+  // touches a row it was not given, fails here.
+  Rng rng(0xACC);
+  const std::vector<std::int64_t> seeds = {-5, 0, 7, std::int64_t{1} << 40,
+                                           -(std::int64_t{1} << 41), 3};
+  for (std::size_t n : kDotLengths) {
+    const auto q = random_ints(n, rng, 3000);
+    IntRows rows;
+    for (std::size_t r = 0; r < 5; ++r)
+      rows.push_back(random_ints(n, rng, 3000));
+    std::vector<std::int64_t> once(seeds), twice(seeds);
+    for (std::size_t r = 0; r < 5; ++r) {
+      const std::int64_t d = naive_dot(q, rows[r]);
+      once[r] += d;
+      twice[r] += 2 * d;
+    }
+    for (k::Backend b : all_backends()) {
+      const k::Kernels& table = k::get(b);
+      const auto got = run_dot_many(table, q, rows, seeds);
+      EXPECT_EQ(got, once) << k::to_string(b) << " n=" << n;
+      EXPECT_EQ(run_dot_many(table, q, rows, got), twice)
+          << k::to_string(b) << " n=" << n;
+    }
+  }
+}
+
+TEST(KernelEquivalence, SpanDotRunsTheActiveBackend) {
+  BackendGuard guard;
+  Rng rng(0x5BA7);
+  for (std::size_t n : kDotLengths) {
+    const auto a = random_ints(n, rng, 30000);
+    const auto b = random_ints(n, rng, 30000);
+    const std::int64_t want = naive_dot(a, b);
+    for (k::Backend backend : all_backends()) {
+      k::set_backend(backend);
+      EXPECT_EQ(dot(a, b), want) << k::to_string(backend) << " n=" << n;
+    }
+  }
+  const std::vector<std::int32_t> three(3, 1), four(4, 1);
+  EXPECT_THROW(dot(three, four), std::invalid_argument);
+}
+
 // ---- Dispatch plumbing ----------------------------------------------------
 
 TEST(KernelDispatch, NamesRoundTrip) {
@@ -210,6 +373,7 @@ TEST(KernelDispatch, TablesAreSelfConsistent) {
     EXPECT_EQ(table.name, k::to_string(b));
     EXPECT_NE(table.xor_popcount, nullptr);
     EXPECT_NE(table.xor_popcount_many, nullptr);
+    EXPECT_NE(table.dot_many, nullptr);
   }
 }
 

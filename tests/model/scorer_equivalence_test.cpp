@@ -3,7 +3,9 @@
 // — must equal, bit for bit in both class and margin, a reference built
 // from the original per-entry arithmetic (the prefix score and the masked
 // score, each with its own dot loop, norm sum and argmax). The reference
-// lives here, deliberately independent of the library's scan.
+// lives here, deliberately independent of the library's scan, which runs
+// through the kernel table's dot_many: every test sweeps every available
+// kernel backend in-process.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +17,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "hdc/kernels.h"
 #include "model/hdc_classifier.h"
 
 namespace generic::model {
@@ -23,6 +26,29 @@ namespace {
 constexpr std::size_t kDims = 2048;
 constexpr std::size_t kChunk = 128;
 constexpr std::size_t kChunks = kDims / kChunk;
+
+namespace k = hdc::kernels;
+
+/// Every backend this build and CPU can run, each made active in turn; the
+/// previously active backend is restored afterwards.
+class EachBackend {
+ public:
+  EachBackend() : saved_(k::active_backend()) {}
+  ~EachBackend() { k::set_backend(saved_); }
+
+  template <typename F>
+  void run(F&& body) {
+    for (k::Backend b : k::compiled_backends()) {
+      if (!k::available(b)) continue;
+      k::set_backend(b);
+      SCOPED_TRACE(std::string("backend ") + std::string(k::to_string(b)));
+      body();
+    }
+  }
+
+ private:
+  k::Backend saved_;
+};
 
 // ---- Reference arithmetic ---------------------------------------------------
 
@@ -183,26 +209,28 @@ TEST_P(ScorerEquivalence, EveryEntryMatchesTheReference) {
   const HdcClassifier m = random_model(classes, 0x5C0E + classes);
   const auto qs = random_queries(12, 0xB0B + classes);
   ThreadPool pool(3);
-  for (const Selection& s : selections(0x5E1 + classes)) {
-    for (NormMode mode : {NormMode::kUpdated, NormMode::kConstant}) {
-      const std::string where = describe(s, mode, classes);
-      const auto batch = m.predict_reduced_margin_batch(qs, s.dims_used, mode,
-                                                        pool, s.chunk_ok);
-      ASSERT_EQ(batch.size(), qs.size());
-      for (std::size_t i = 0; i < qs.size(); ++i) {
-        const Prediction want =
-            ref_predict(m, qs[i], s.dims_used, mode, s.chunk_ok);
-        const Prediction single =
-            m.predict_reduced(qs[i], s.dims_used, mode, s.chunk_ok);
-        expect_same(single, want, where);
-        expect_same(batch[i], single, where + " (batch vs single)");
-        for (std::size_t c = 0; c < classes; ++c)
-          EXPECT_EQ(m.score(qs[i], c, s.dims_used, mode, s.chunk_ok),
-                    ref_score(m, qs[i], c, s.dims_used, mode, s.chunk_ok))
-              << where << " cls=" << c;
+  EachBackend().run([&] {
+    for (const Selection& s : selections(0x5E1 + classes)) {
+      for (NormMode mode : {NormMode::kUpdated, NormMode::kConstant}) {
+        const std::string where = describe(s, mode, classes);
+        const auto batch = m.predict_reduced_margin_batch(
+            qs, s.dims_used, mode, pool, s.chunk_ok);
+        ASSERT_EQ(batch.size(), qs.size());
+        for (std::size_t i = 0; i < qs.size(); ++i) {
+          const Prediction want =
+              ref_predict(m, qs[i], s.dims_used, mode, s.chunk_ok);
+          const Prediction single =
+              m.predict_reduced(qs[i], s.dims_used, mode, s.chunk_ok);
+          expect_same(single, want, where);
+          expect_same(batch[i], single, where + " (batch vs single)");
+          for (std::size_t c = 0; c < classes; ++c)
+            EXPECT_EQ(m.score(qs[i], c, s.dims_used, mode, s.chunk_ok),
+                      ref_score(m, qs[i], c, s.dims_used, mode, s.chunk_ok))
+                << where << " cls=" << c;
+        }
       }
     }
-  }
+  });
 }
 
 TEST_P(ScorerEquivalence, PredictAndPredictBatchAreTheFullSelection) {
@@ -210,18 +238,21 @@ TEST_P(ScorerEquivalence, PredictAndPredictBatchAreTheFullSelection) {
   const HdcClassifier m = random_model(classes, 0xF011 + classes);
   const auto qs = random_queries(9, 0xF012 + classes);
   ThreadPool pool(3);
-  const auto batch = m.predict_batch(qs, pool);
-  ASSERT_EQ(batch.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const int want = ref_predict(m, qs[i], kDims, NormMode::kUpdated, {}).cls;
-    EXPECT_EQ(m.predict(qs[i]), want);
-    EXPECT_EQ(batch[i], want);
-  }
+  EachBackend().run([&] {
+    const auto batch = m.predict_batch(qs, pool);
+    ASSERT_EQ(batch.size(), qs.size());
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const int want =
+          ref_predict(m, qs[i], kDims, NormMode::kUpdated, {}).cls;
+      EXPECT_EQ(m.predict(qs[i]), want);
+      EXPECT_EQ(batch[i], want);
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Classes, ScorerEquivalence,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
-                                           std::size_t{16}));
+                                           std::size_t{16}, std::size_t{45}));
 
 TEST(ScorerEquivalenceEdges, TiedScoresGoToTheLowestClass) {
   HdcClassifier m = random_model(16, 0x71E);
@@ -231,19 +262,23 @@ TEST(ScorerEquivalenceEdges, TiedScoresGoToTheLowestClass) {
   m.recompute_norms();
   const hdc::IntHV q = m.class_vector(5);
   ThreadPool pool(3);
-  for (const Selection& s : selections(0x71F)) {
-    for (NormMode mode : {NormMode::kUpdated, NormMode::kConstant}) {
-      const std::string where = describe(s, mode, 16);
-      const Prediction p = m.predict_reduced(q, s.dims_used, mode, s.chunk_ok);
-      EXPECT_EQ(p.cls, 5) << where;
-      EXPECT_EQ(p.margin, 0.0) << where;
-      expect_same(p, ref_predict(m, q, s.dims_used, mode, s.chunk_ok), where);
-      const std::vector<hdc::IntHV> one{q};
-      expect_same(m.predict_reduced_margin_batch(one, s.dims_used, mode, pool,
-                                                 s.chunk_ok)[0],
-                  p, where + " (batch)");
+  EachBackend().run([&] {
+    for (const Selection& s : selections(0x71F)) {
+      for (NormMode mode : {NormMode::kUpdated, NormMode::kConstant}) {
+        const std::string where = describe(s, mode, 16);
+        const Prediction p =
+            m.predict_reduced(q, s.dims_used, mode, s.chunk_ok);
+        EXPECT_EQ(p.cls, 5) << where;
+        EXPECT_EQ(p.margin, 0.0) << where;
+        expect_same(p, ref_predict(m, q, s.dims_used, mode, s.chunk_ok),
+                    where);
+        const std::vector<hdc::IntHV> one{q};
+        expect_same(m.predict_reduced_margin_batch(one, s.dims_used, mode,
+                                                   pool, s.chunk_ok)[0],
+                    p, where + " (batch)");
+      }
     }
-  }
+  });
 }
 
 TEST(ScorerEquivalenceEdges, AllZeroClassNormsScoreZero) {
@@ -272,6 +307,102 @@ TEST(ScorerEquivalenceEdges, AllZeroClassNormsScoreZero) {
       expect_same(m.predict_reduced(q, kDims, mode),
                   ref_predict(m, q, kDims, mode, {}), "one zero class");
     }
+}
+
+// ---- Training trajectory ----------------------------------------------------
+
+/// A retraining fit written as plain loops: bundle, then up to `epochs`
+/// perceptron epochs over full-width scores (one dot loop and one squared
+/// norm per class), lowest class on ties, stopping after an epoch with no
+/// update — the trajectory HdcClassifier::fit_parallel must reproduce.
+/// Returns the number of epochs that updated the model.
+std::size_t ref_fit(std::vector<hdc::IntHV>& classes,
+                    const std::vector<hdc::IntHV>& xs,
+                    const std::vector<int>& ys, std::size_t epochs) {
+  const std::size_t dims = classes[0].size();
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    for (std::size_t j = 0; j < dims; ++j)
+      classes[static_cast<std::size_t>(ys[i])][j] += xs[i][j];
+  std::size_t updating_epochs = 0;
+  for (std::size_t e = 0; e < epochs; ++e) {
+    std::size_t updates = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      int pred = 0;
+      double best = -std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < classes.size(); ++c) {
+        std::int64_t dot = 0;
+        std::int64_t n2 = 0;
+        for (std::size_t j = 0; j < dims; ++j) {
+          dot += static_cast<std::int64_t>(xs[i][j]) * classes[c][j];
+          n2 += static_cast<std::int64_t>(classes[c][j]) * classes[c][j];
+        }
+        const double score = finish_score(dot, n2);
+        if (score > best) {
+          best = score;
+          pred = static_cast<int>(c);
+        }
+      }
+      if (pred == ys[i]) continue;
+      ++updates;
+      for (std::size_t j = 0; j < dims; ++j) {
+        classes[static_cast<std::size_t>(pred)][j] -= xs[i][j];
+        classes[static_cast<std::size_t>(ys[i])][j] += xs[i][j];
+      }
+    }
+    if (updates == 0) break;
+    ++updating_epochs;
+  }
+  return updating_epochs;
+}
+
+TEST(ScorerTrainingTrajectory, FitParallelMatchesNaiveFitOnEveryBackend) {
+  // Six overlapping classes: noisy copies of weak random prototypes in few
+  // dimensions, with more samples than dimensions, so retraining keeps
+  // updating for several epochs.
+  constexpr std::size_t kFitDims = 2 * kChunk;
+  constexpr std::size_t kClasses = 6;
+  constexpr std::size_t kEpochs = 20;
+  Rng rng(0x7A1);
+  auto noise = [&](int span) {
+    hdc::IntHV v(kFitDims);
+    for (auto& x : v)
+      x = static_cast<std::int32_t>(rng.below(2 * span + 1)) - span;
+    return v;
+  };
+  std::vector<hdc::IntHV> protos;
+  for (std::size_t c = 0; c < kClasses; ++c) protos.push_back(noise(2));
+  std::vector<hdc::IntHV> xs;
+  std::vector<int> ys;
+  for (std::size_t i = 0; i < 600; ++i) {
+    const std::size_t c = i % kClasses;
+    hdc::IntHV x = noise(30);
+    for (std::size_t j = 0; j < kFitDims; ++j) x[j] += protos[c][j];
+    xs.push_back(std::move(x));
+    ys.push_back(static_cast<int>(c));
+  }
+
+  std::vector<hdc::IntHV> want(kClasses, hdc::IntHV(kFitDims, 0));
+  ASSERT_GE(ref_fit(want, xs, ys, kEpochs), 10u)
+      << "the fixture no longer exercises retraining";
+
+  EachBackend().run([&] {
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+      ThreadPool pool(lanes);
+      HdcClassifier m(kFitDims, kClasses, kChunk);
+      m.fit_parallel(xs, ys, kEpochs, pool);
+      for (std::size_t c = 0; c < kClasses; ++c) {
+        EXPECT_EQ(m.class_vector(c), want[c])
+            << "lanes=" << lanes << " cls=" << c;
+        for (std::size_t k = 0; k < m.num_chunks(); ++k) {
+          std::int64_t n2 = 0;
+          for (std::size_t j = k * kChunk; j < (k + 1) * kChunk; ++j)
+            n2 += static_cast<std::int64_t>(want[c][j]) * want[c][j];
+          EXPECT_EQ(m.chunk_norm(c, k), n2)
+              << "lanes=" << lanes << " cls=" << c << " chunk=" << k;
+        }
+      }
+    }
+  });
 }
 
 // ---- Validation -------------------------------------------------------------

@@ -1,29 +1,16 @@
-// Exit-status and output helpers shared by the CLI tools. Flags are parsed
-// by bench::Flags (bench/bench_util.h), the same strict parser the bench
-// binaries use.
+// Output helpers shared by the CLI tools. Flags are parsed by bench::Flags
+// and exceptions caught by bench::run_main (bench/bench_util.h), the same
+// strict parser and top-level catch the bench binaries use.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <string>
 
 #include "obs/export.h"
 #include "obs/rtrace.h"
 
 namespace generic::tools {
-
-/// Exit status of `run(argc, argv)`. An exception escaping it, such as a
-/// failed report write or an unreadable input file, prints
-/// `error: <what>` and exits 1.
-inline int run_main(int (*run)(int, char**), int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
 
 /// Write the request-trace documents of the live recorder that were asked
 /// for; an empty path skips that document. --rtrace is generic.rtrace.v1,

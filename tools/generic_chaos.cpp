@@ -161,4 +161,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return tools::run_main(run, argc, argv); }
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

@@ -123,9 +123,7 @@ bool run_client(const fleet::FleetConfig& cfg, std::uint16_t port,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::uint64_t seed = flags.size("--seed", 0xF1EE7);
@@ -169,3 +167,7 @@ int main(int argc, char** argv) {
   std::printf("all %zu client loops completed\n", threads.size());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }

@@ -51,7 +51,7 @@ int run(int argc, char** argv) {
   // thread count (see docs/parallelism.md).
   cc.threads = flags.threads();
   const std::string kinds = flags.value("--fault-kinds", "");
-  const std::string rates = flags.value("--fault-rates", "");
+  const std::vector<double> rates = flags.reals("--fault-rates");
   const std::string campaign_out = flags.value("--fault-out", "");
   const std::string trace_path = flags.value("--trace", "");
   const std::string metrics_path = flags.value("--metrics", "");
@@ -83,12 +83,7 @@ int run(int argc, char** argv) {
       for (std::string item; std::getline(ss, item, ',');)
         cc.kinds.push_back(resilience::fault_kind_from_name(item));
     }
-    if (!rates.empty()) {
-      cc.rates.clear();
-      std::stringstream ss(rates);
-      for (std::string item; std::getline(ss, item, ',');)
-        cc.rates.push_back(std::stod(item));
-    }
+    if (!rates.empty()) cc.rates = rates;
 
     const auto result =
         resilience::run_campaign(saved.classifier, encoded, samples.y, cc);
@@ -127,4 +122,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return tools::run_main(run, argc, argv); }
+int main(int argc, char** argv) { return bench::run_main(run, argc, argv); }
