@@ -324,14 +324,10 @@ void append_party_json(std::string& out, const PartyStats& s,
       s.served == 0 ? 0.0
                     : static_cast<double>(s.correct) /
                           static_cast<double>(s.served));
-  out += ", \"latency_us\": {\"count\": " + std::to_string(s.latency.count);
-  out += ", \"p50\": " + std::to_string(s.latency.percentile(0.50));
-  out += ", \"p95\": " + std::to_string(s.latency.percentile(0.95));
-  out += ", \"p99\": " + std::to_string(s.latency.percentile(0.99));
-  out += "}}";
+  out += ", \"latency_us\": ";
+  serve::append_latency_summary_json(out, s.latency);
+  out += "}";
 }
-
-
 
 std::string fleet_report_to_json(const FleetReport& rep) {
   std::string out;
@@ -425,22 +421,8 @@ std::string fleet_report_to_json(const FleetReport& rep) {
   }
   out += rep.models.empty() ? "],\n" : "\n  ],\n";
 
-  out += "  \"slo_alerts\": [";
-  for (std::size_t i = 0; i < rep.slo_alerts.size(); ++i) {
-    const serve::BurnAlert& a = rep.slo_alerts[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"vt_us\": " + std::to_string(a.vt);
-    out += ", \"kind\": \"";
-    out += a.fired ? "fire" : "clear";
-    out += "\", \"fast_burn\": ";
-    out += obs::json_number(a.fast_burn);
-    out += ", \"slow_burn\": ";
-    out += obs::json_number(a.slow_burn);
-    out += "}";
-  }
-  out += rep.slo_alerts.empty() ? "]\n" : "\n  ]\n";
-
-  out += "}\n";
+  serve::append_slo_alerts_json(out, rep.slo_alerts);
+  out += "\n}\n";
   return out;
 }
 

@@ -35,10 +35,8 @@ std::size_t BinaryHV::popcount() const {
 std::size_t BinaryHV::hamming(const BinaryHV& other) const {
   if (other.dims_ != dims_)
     throw std::invalid_argument("BinaryHV hamming: dimension mismatch");
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    total += static_cast<std::size_t>(popcount64(words_[i] ^ other.words_[i]));
-  return total;
+  return kernels::active().xor_popcount(words_.data(), other.words_.data(),
+                                        words_.size());
 }
 
 std::int64_t BinaryHV::dot(const BinaryHV& other) const {
@@ -119,19 +117,6 @@ std::int64_t dot(std::span<const std::int32_t> a,
   std::int64_t acc = 0;
   kernels::active().dot_many(a.data(), &row, 1, a.size(), &acc);
   return acc;
-}
-
-std::int64_t dot(const IntHV& a, const BinaryHV& b) {
-  if (a.size() != b.dims())
-    throw std::invalid_argument("dot(int,binary): size mismatch");
-  // sum_i a_i * (2 b_i - 1) = 2 * sum_{i: b_i=1} a_i - sum_i a_i.
-  std::int64_t sum_all = 0;
-  std::int64_t sum_set = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    sum_all += a[i];
-    if (b.bit(i)) sum_set += a[i];
-  }
-  return 2 * sum_set - sum_all;
 }
 
 double cosine(const IntHV& a, const IntHV& b) {

@@ -57,7 +57,8 @@ class BinaryHV {
   /// Number of set bits.
   std::size_t popcount() const;
 
-  /// Hamming distance to another hypervector of the same dimensionality.
+  /// Hamming distance to another hypervector of the same dimensionality:
+  /// one xor_popcount call on the active kernel table (hdc/kernels.h).
   std::size_t hamming(const BinaryHV& other) const;
 
   /// Bipolar dot product: dims - 2*hamming.
@@ -99,10 +100,6 @@ void xor_rotated_into(BinaryHV& dst, const BinaryHV& src, std::size_t k);
 /// HdcClassifier does, to share each query load across rows.
 std::int64_t dot(std::span<const std::int32_t> a,
                  std::span<const std::int32_t> b);
-
-/// Dot product of a bundled hypervector with a binary hypervector's
-/// bipolar expansion, without materializing the expansion.
-std::int64_t dot(const IntHV& a, const BinaryHV& b);
 
 /// Squared L2 norm of an int span (a hypervector or a slice of one).
 inline std::int64_t norm2(std::span<const std::int32_t> a) {

@@ -56,8 +56,8 @@ struct Kernels {
                               std::size_t n) = nullptr;
 
   /// out[r] += popcount(q[i] ^ refs[r][i]) over `words` words for each of
-  /// `rows` reference rows — the hamming_many/nearest_hamming inner tile,
-  /// shaped so a backend can amortize query loads across rows.
+  /// `rows` reference rows — all of hamming_many/nearest_hamming in one
+  /// call, shaped so a backend can amortize query loads across rows.
   void (*xor_popcount_many)(const std::uint64_t* q,
                             const std::uint64_t* const* refs, std::size_t rows,
                             std::size_t words, std::size_t* out) = nullptr;

@@ -1,6 +1,5 @@
 #include "hdc/ops.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "hdc/kernels.h"
@@ -45,22 +44,6 @@ BinaryHV bind_sequence(std::span<const BinaryHV> symbols) {
   return out;
 }
 
-std::size_t hamming_blocked(const BinaryHV& a, const BinaryHV& b) {
-  if (a.dims() != b.dims())
-    throw std::invalid_argument("hamming_blocked: dimension mismatch");
-  GENERIC_COUNTER_ADD("ops.hamming.calls", 1);
-  GENERIC_COUNTER_ADD("ops.hamming.rows", 1);
-  const kernels::Kernels& k = kernels::active();
-  const auto wa = a.words();
-  const auto wb = b.words();
-  std::size_t total = 0;
-  for (std::size_t t = 0; t < wa.size(); t += kHammingTileWords) {
-    const std::size_t len = std::min(kHammingTileWords, wa.size() - t);
-    total += k.xor_popcount(wa.data() + t, wb.data() + t, len);
-  }
-  return total;
-}
-
 std::vector<std::size_t> hamming_many(const BinaryHV& query,
                                       std::span<const BinaryHV> refs) {
   // Validate before touching any row: a mismatched ref list must throw up
@@ -72,19 +55,12 @@ std::vector<std::size_t> hamming_many(const BinaryHV& query,
   GENERIC_COUNTER_ADD("ops.hamming.rows", refs.size());
   std::vector<std::size_t> out(refs.size(), 0);
   if (refs.empty() || query.words().empty()) return out;
-  const kernels::Kernels& k = kernels::active();
-  const auto qw = query.words();
   std::vector<const std::uint64_t*> rows(refs.size());
-  // Tile-major: one query tile is streamed against every row before the
-  // next tile is touched, so the query words stay cache-resident even when
-  // refs holds thousands of rows.
-  for (std::size_t t = 0; t < qw.size(); t += kHammingTileWords) {
-    const std::size_t len = std::min(kHammingTileWords, qw.size() - t);
-    for (std::size_t r = 0; r < refs.size(); ++r)
-      rows[r] = refs[r].words().data() + t;
-    k.xor_popcount_many(qw.data() + t, rows.data(), rows.size(), len,
-                        out.data());
-  }
+  for (std::size_t r = 0; r < refs.size(); ++r)
+    rows[r] = refs[r].words().data();
+  kernels::active().xor_popcount_many(query.words().data(), rows.data(),
+                                      rows.size(), query.num_words(),
+                                      out.data());
   return out;
 }
 

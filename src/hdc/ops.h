@@ -32,25 +32,18 @@ double hamming_similarity(const BinaryHV& a, const BinaryHV& b);
 /// — the n-gram kernel as a standalone op.
 BinaryHV bind_sequence(std::span<const BinaryHV> symbols);
 
-// ---- Blocked similarity kernels -------------------------------------------
+// ---- Similarity search ----------------------------------------------------
 //
 // The XOR+popcount distance is the hot inner loop of every binary-model
-// similarity search. These variants process 64-bit words with
-// std::popcount over cache-sized tiles (kHammingTileWords words, 32 KiB
-// per operand) so a query tile stays L1/L2-resident while it is streamed
-// against many reference rows. Results are exact — identical to
-// BinaryHV::hamming for every dimensionality, including non-multiple-of-64
-// tails (BinaryHV keeps its last word masked).
+// similarity search. Like BinaryHV::hamming, these bottom out in the
+// active kernel table (hdc/kernels.h), which decides how the words are
+// walked. Results are exact — identical to BinaryHV::hamming for every
+// dimensionality, including non-multiple-of-64 tails (BinaryHV keeps its
+// last word masked).
 
-/// Words per tile of the blocked kernels: 32 KiB of packed bits.
-inline constexpr std::size_t kHammingTileWords = 4096;
-
-/// Tiled XOR+popcount Hamming distance; == a.hamming(b) for all dims.
-std::size_t hamming_blocked(const BinaryHV& a, const BinaryHV& b);
-
-/// Hamming distance of `query` against every reference row, tiled so each
-/// query tile is reused across all rows before moving on. out[i] ==
-/// query.hamming(refs[i]).
+/// Hamming distance of `query` against every reference row: one
+/// xor_popcount_many call, so a backend shares each query load across
+/// rows. out[i] == query.hamming(refs[i]).
 std::vector<std::size_t> hamming_many(const BinaryHV& query,
                                       std::span<const BinaryHV> refs);
 

@@ -11,7 +11,10 @@
 // and serves predictions ~an order of magnitude faster than the int32
 // path (see the primitives section of bench/kernels). Norms are constant
 // across classes (every sign vector has ||C||^2 = D), so the cosine argmax
-// reduces to a plain max-dot — no divider at all.
+// reduces to a plain max-dot — no divider at all. Every predict ends in
+// hdc::nearest_hamming, so the one 1-bit scorer runs on the active kernel
+// table (hdc/kernels.h). A full-precision query against the sign model is
+// HdcClassifier::quantize(1) + predict; it has no entry point here.
 #pragma once
 
 #include <cstddef>
@@ -35,13 +38,9 @@ class BinaryModel {
   /// points on top of model binarization because query magnitudes vanish).
   int predict_packed(const hdc::BinaryHV& query) const;
 
-  /// Fully binary from a bundled integer query (binarized internally).
+  /// Fully binary from a bundled integer query (binarized internally):
+  /// the same argmax as HdcClassifier::quantize(1) on the binarized query.
   int predict(const hdc::IntHV& query) const;
-
-  /// Mixed precision: integer query against the sign model — still
-  /// multiplier-free (adds/subtracts selected by class bits) and
-  /// equivalent to HdcClassifier::quantize(1) with a full-precision query.
-  int predict_mixed(const hdc::IntHV& query) const;
 
   /// Sign-binarize a bundled hypervector (>= 0 -> bit 1).
   static hdc::BinaryHV binarize(const hdc::IntHV& v);

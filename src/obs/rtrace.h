@@ -18,10 +18,11 @@
 //    demand (--flight-dump) and automatically by the chaos orchestrator
 //    when an invariant fails, exported as generic.flight.v1.
 //
-// Cost model (bench/obs_overhead): with both sinks off, record() is one
-// relaxed atomic load and a branch. With a sink on it is a mutex-guarded
-// append (the recording path is single-threaded by design, so the mutex is
-// uncontended; it exists so misuse is safe, not slow-path-correct-only).
+// Cost model (bench/kernels, rtrace section): with both sinks off, record()
+// is one relaxed atomic load and a branch. With a sink on it is a
+// mutex-guarded append (the recording path is single-threaded by design,
+// so the mutex is uncontended; it exists so misuse is safe, not
+// slow-path-correct-only).
 // Under -DGENERIC_OBS=OFF record() compiles to nothing and every exporter
 // still emits an empty-but-valid document with "obs_enabled": false.
 #pragma once

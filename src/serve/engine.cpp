@@ -592,6 +592,33 @@ void ServeEngine::flush_rung(std::size_t rung) {
 
 // ---- generic.serve.v1 -----------------------------------------------------
 
+void append_latency_summary_json(std::string& out,
+                                 const obs::HistogramSnapshot& latency) {
+  out += "{\"count\": " + std::to_string(latency.count);
+  out += ", \"p50\": " + std::to_string(latency.percentile(0.50));
+  out += ", \"p95\": " + std::to_string(latency.percentile(0.95));
+  out += ", \"p99\": " + std::to_string(latency.percentile(0.99));
+  out += "}";
+}
+
+void append_slo_alerts_json(std::string& out,
+                            const std::vector<BurnAlert>& alerts) {
+  out += "  \"slo_alerts\": [";
+  for (std::size_t i = 0; i < alerts.size(); ++i) {
+    const BurnAlert& a = alerts[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += "    {\"vt_us\": " + std::to_string(a.vt);
+    out += ", \"kind\": \"";
+    out += a.fired ? "fire" : "clear";
+    out += "\", \"fast_burn\": ";
+    out += obs::json_number(a.fast_burn);
+    out += ", \"slow_burn\": ";
+    out += obs::json_number(a.slow_burn);
+    out += "}";
+  }
+  out += alerts.empty() ? "]" : "\n  ]";
+}
+
 std::string serve_report_to_json(const ServeReport& rep) {
   const ServeConfig& c = rep.config;
   std::string out;
@@ -699,29 +726,15 @@ std::string serve_report_to_json(const ServeReport& rep) {
         s.served == 0 ? 0.0
                       : static_cast<double>(s.correct) /
                             static_cast<double>(s.served));
-    out += ", \"latency_us\": {\"count\": " + std::to_string(s.latency.count);
-    out += ", \"p50\": " + std::to_string(s.latency.percentile(0.50));
-    out += ", \"p95\": " + std::to_string(s.latency.percentile(0.95));
-    out += ", \"p99\": " + std::to_string(s.latency.percentile(0.99));
-    out += "}}";
+    out += ", \"latency_us\": ";
+    append_latency_summary_json(out, s.latency);
+    out += "}";
   }
   out += rep.rungs.empty() ? "]" : "\n    ]";
   out += "\n  },\n";
 
-  out += "  \"slo_alerts\": [";
-  for (std::size_t i = 0; i < rep.slo_alerts.size(); ++i) {
-    const BurnAlert& a = rep.slo_alerts[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"vt_us\": " + std::to_string(a.vt);
-    out += ", \"kind\": \"";
-    out += a.fired ? "fire" : "clear";
-    out += "\", \"fast_burn\": ";
-    out += obs::json_number(a.fast_burn);
-    out += ", \"slow_burn\": ";
-    out += obs::json_number(a.slow_burn);
-    out += "}";
-  }
-  out += rep.slo_alerts.empty() ? "],\n" : "\n  ],\n";
+  append_slo_alerts_json(out, rep.slo_alerts);
+  out += ",\n";
 
   out += "  \"lifecycle\": {\n";
   out += "    \"swaps\": [";

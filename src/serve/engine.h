@@ -116,6 +116,16 @@ struct ServeReport {
 /// obs::json_number doubles.
 std::string serve_report_to_json(const ServeReport& report);
 
+/// Append `{"count": N, "p50": .., "p95": .., "p99": ..}` of `latency`: the
+/// latency summary of each generic.serve.v1 rung and generic.fleet.v1 party.
+void append_latency_summary_json(std::string& out,
+                                 const obs::HistogramSnapshot& latency);
+
+/// Append the `"slo_alerts": [...]` member of generic.serve.v1 and
+/// generic.fleet.v1, from its two-space indent to the closing bracket.
+void append_slo_alerts_json(std::string& out,
+                            const std::vector<BurnAlert>& alerts);
+
 class ServeEngine {
  public:
   /// The engine serves `queries` by index; `labels` are the ground truth

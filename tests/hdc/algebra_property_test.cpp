@@ -7,15 +7,18 @@
 //  * permute composes:  rho^j(rho^k(a)) == rho^(j+k)(a)
 //    and inverts:       rho^(D-k)(rho^k(a)) == a
 //    and distributes over bind: rho^k(a ^ b) == rho^k(a) ^ rho^k(b)
-//  * Hamming (plain and blocked/tiled kernels) equals a naive per-bit loop
+//  * Hamming (BinaryHV::hamming and hamming_many, on every available kernel
+//    backend) equals a naive per-bit loop
 //  * hamming_similarity equals cosine of the bipolar integer expansions
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "hdc/hypervector.h"
+#include "hdc/kernels.h"
 #include "hdc/ops.h"
 
 namespace generic::hdc {
@@ -100,6 +103,19 @@ std::size_t naive_hamming(const BinaryHV& a, const BinaryHV& b) {
   return d;
 }
 
+/// Run `body` once per kernel backend available on this host, with that
+/// backend active; the active backend is restored afterwards.
+template <typename F>
+void on_every_backend(F&& body) {
+  const kernels::Backend saved = kernels::active_backend();
+  for (kernels::Backend backend : kernels::compiled_backends()) {
+    if (!kernels::available(backend)) continue;
+    kernels::set_backend(backend);
+    body(kernels::to_string(backend));
+  }
+  kernels::set_backend(saved);
+}
+
 TEST(HdcAlgebraProperty, HammingMatchesNaiveReference) {
   Rng rng(0xB7ul);
   for (std::size_t dims : kDims) {
@@ -107,20 +123,28 @@ TEST(HdcAlgebraProperty, HammingMatchesNaiveReference) {
       const BinaryHV a = BinaryHV::random(dims, rng);
       const BinaryHV b = BinaryHV::random(dims, rng);
       const std::size_t expect = naive_hamming(a, b);
-      EXPECT_EQ(a.hamming(b), expect) << "dims=" << dims;
-      EXPECT_EQ(hamming_blocked(a, b), expect) << "dims=" << dims;
+      on_every_backend([&](std::string_view backend) {
+        EXPECT_EQ(a.hamming(b), expect) << backend << " dims=" << dims;
+      });
     }
   }
 }
 
-TEST(HdcAlgebraProperty, BlockedKernelCrossesTileBoundary) {
-  // More than one 4096-word tile: dims > 64 * kHammingTileWords, with a
-  // ragged tail so the masked last word is exercised too.
-  const std::size_t dims = 64 * kHammingTileWords + 64 * 17 + 13;
+TEST(HdcAlgebraProperty, HammingMatchesNaiveAtLargeRaggedDims) {
+  // 263 245 dims: 4113 words (well past any cache-sized block a backend
+  // might walk in) with a ragged tail, so the masked last word is in play.
+  const std::size_t dims = 64 * 4096 + 64 * 17 + 13;
   Rng rng(0xB8ul);
   const BinaryHV a = BinaryHV::random(dims, rng);
   const BinaryHV b = BinaryHV::random(dims, rng);
-  EXPECT_EQ(hamming_blocked(a, b), a.hamming(b));
+  const BinaryHV c = BinaryHV::random(dims, rng);
+  const std::vector<std::size_t> expect = {naive_hamming(a, b),
+                                           naive_hamming(a, c)};
+  const std::vector<BinaryHV> refs = {b, c};
+  on_every_backend([&](std::string_view backend) {
+    EXPECT_EQ(a.hamming(b), expect[0]) << backend;
+    EXPECT_EQ(hamming_many(a, refs), expect) << backend;
+  });
 }
 
 TEST(HdcAlgebraProperty, HammingManyMatchesRowWise) {

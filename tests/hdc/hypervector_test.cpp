@@ -146,14 +146,6 @@ TEST(IntHV, DotAndNorm) {
   EXPECT_EQ(norm2(a), 1 + 4 + 9);
 }
 
-TEST(IntHV, DotWithBinaryMatchesExpansion) {
-  Rng rng(23);
-  const BinaryHV b = BinaryHV::random(300, rng);
-  IntHV a(300);
-  for (auto& v : a) v = static_cast<std::int32_t>(rng.range(-50, 50));
-  EXPECT_EQ(dot(a, b), dot(a, b.to_int()));
-}
-
 TEST(IntHV, CosineBounds) {
   const IntHV a{1, 0, 0};
   const IntHV b{0, 1, 0};

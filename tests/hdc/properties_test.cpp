@@ -74,9 +74,9 @@ TEST_P(HvDimsTest, BundlePreservesSimilarityToMembers) {
     members.push_back(BinaryHV::random(dims, rng));
     members.back().accumulate_into(bundle);
   }
-  const BinaryHV outsider = BinaryHV::random(dims, rng);
+  const IntHV outsider = BinaryHV::random(dims, rng).to_int();
   for (const auto& m : members)
-    EXPECT_GT(dot(bundle, m), 2 * std::abs(dot(bundle, outsider)));
+    EXPECT_GT(dot(bundle, m.to_int()), 2 * std::abs(dot(bundle, outsider)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, HvDimsTest,

@@ -64,21 +64,23 @@ TEST(BinaryModel, AccuracyAtBothOperatingPoints) {
   HdcClassifier clf(2048, ds.num_classes);
   clf.fit(train, ds.train_y, 5);
   BinaryModel fast(clf);
-  std::size_t full_hits = 0, mixed_hits = 0, binary_hits = 0;
+  HdcClassifier sign = clf;  // sign model, full-precision queries
+  sign.quantize(1);
+  std::size_t full_hits = 0, sign_hits = 0, binary_hits = 0;
   for (std::size_t i = 0; i < test.size(); ++i) {
     full_hits += clf.predict(test[i]) == ds.test_y[i];
-    mixed_hits += fast.predict_mixed(test[i]) == ds.test_y[i];
+    sign_hits += sign.predict(test[i]) == ds.test_y[i];
     binary_hits += fast.predict(test[i]) == ds.test_y[i];
   }
   const auto n = static_cast<double>(test.size());
   const double full = static_cast<double>(full_hits) / n;
-  EXPECT_GT(static_cast<double>(mixed_hits) / n, full - 0.08);
+  EXPECT_GT(static_cast<double>(sign_hits) / n, full - 0.08);
   EXPECT_GT(static_cast<double>(binary_hits) / n, full - 0.20);
   EXPECT_GT(static_cast<double>(binary_hits) / n,
             2.0 / static_cast<double>(ds.num_classes));
 }
 
-TEST(BinaryModel, MixedMatchesOneBitQuantizedClassifier) {
+TEST(BinaryModel, IntQueryMatchesOneBitQuantizedClassifier) {
   Rng rng(9);
   HdcClassifier clf(512, 3, 128);
   std::vector<hdc::IntHV> enc;
@@ -92,11 +94,14 @@ TEST(BinaryModel, MixedMatchesOneBitQuantizedClassifier) {
   BinaryModel fast(clf);
   clf.quantize(1);
   for (int i = 0; i < 30; ++i) {
-    hdc::IntHV q(512);
-    for (auto& v : q) v = static_cast<std::int32_t>(rng.range(-20, 20));
-    // Same sign model; quantize(1) scoring normalizes by the shared norm,
-    // so the argmax agrees whenever the top dot is unique.
-    EXPECT_EQ(fast.predict_mixed(q), clf.predict(q)) << i;
+    // Values in {-1, 0, 1}, so about a third of the dims are exactly
+    // zero: predict must binarize them to +1, as quantize(1) does.
+    hdc::IntHV q(512), bipolar(512);
+    for (std::size_t d = 0; d < q.size(); ++d) {
+      q[d] = static_cast<std::int32_t>(rng.range(-1, 1));
+      bipolar[d] = q[d] >= 0 ? 1 : -1;
+    }
+    EXPECT_EQ(fast.predict(q), clf.predict(bipolar)) << i;
   }
 }
 
